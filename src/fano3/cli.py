@@ -262,14 +262,25 @@ def _candidate_row(c: sarkisov.LinkCandidate) -> str:
     )
 
 
+def _parse_genus_range(text: str) -> range:
+    usage = SystemExit2(f"--genus-range expects A..B with integers A <= B, got {text!r}")
+    lo, _, hi = text.partition("..")
+    try:
+        first, last = int(lo), int(hi)
+    except ValueError:
+        raise usage from None
+    if first > last:
+        raise usage
+    return range(first, last + 1)
+
+
 def _cmd_link(args, out) -> int:
     if (args.genus is None) == (args.genus_range is None):
         raise SystemExit2("give exactly one of --genus / --genus-range A..B")
     if args.genus is not None:
         genera = [args.genus]
     else:
-        lo, _, hi = args.genus_range.partition("..")
-        genera = list(range(int(lo), int(hi) + 1))
+        genera = _parse_genus_range(args.genus_range)
     cands = sarkisov.enumerate_links(args.center, genera, workers=args.workers)
     if not args.show_excluded:
         cands = [c for c in cands if c.confirmed]
@@ -391,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     ln.add_argument("--genus", type=int)
     ln.add_argument("--genus-range", help="A..B inclusive")
     ln.add_argument("--show-excluded", action="store_true")
-    ln.add_argument("--workers", type=int, default=1)
+    ln.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     ln.add_argument("--json", action="store_true")
 
     r2 = sub.add_parser("rho2", help="Picard-number-2 enumeration")

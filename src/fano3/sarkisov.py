@@ -11,7 +11,6 @@ constraints are then vetted against the catalog fact store.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Sequence
@@ -32,6 +31,9 @@ CENTER_DATA: dict[str, CurveCenter | PointCenter] = {
 MU = {"C1": 1, "C2": 2, "D1": 1, "D2": 2, "D3": 3, "B1": 1, "B2": 2, "B3/B4": 1, "B5": 1}
 ALPHA = {"B1": Fraction(1), "B2": Fraction(2), "B3/B4": Fraction(1), "B5": Fraction(1, 2)}
 TAG_BY_K = {4: "B2", 2: "B3/B4", 1: "B5"}
+# degree d(Y) a B1 target of index iota >= 2 may have: P^3, the quadric and the
+# del Pezzo threefolds; index 1 admits every even d >= 2.
+B1_DEGREES = {4: (1,), 3: (2,), 2: range(1, 6)}
 POINT_SINGULARITY = {
     "B2": "nonsingular point",
     "B3/B4": "ordinary double point or cDV point x1*x2 + x3^2 + x4^3",
@@ -146,20 +148,25 @@ def _m_cap(center: Center, g: int, a: int, b: int, birational: bool) -> Optional
 
 
 def _fiber_candidates(
-    center: Center, g: int, vals: tuple[Fraction, ...], bound: int
+    center: Center, g: int, vals: tuple[int, ...], bound: int
 ) -> Iterable[LinkCandidate]:
     k3, ke, kee, e3 = vals
     for kind, mus, q2_target in (("D", (1, 2, 3), 0), ("C", (1, 2), 2)):
         for mu in mus:
             b = mu
-            for a in range(1, bound + 1):
+            if bound:
+                trials: Iterable[int] = range(1, bound + 1)
+            else:
+                # with b fixed, Mbar^2.(-K) = q2 is a quadratic in a with
+                # leading coefficient k3 > 0: its positive integer roots are
+                # the only a that pass the first check below
+                trials = _integer_roots(k3, -2 * b * ke, b * b * kee - q2_target)
+            for a in trials:
                 if k3 * a * a - 2 * a * b * ke + b * b * kee != q2_target:
                     continue
                 lin = k3 * a - ke * b
                 if kind == "D":
-                    if lin.denominator != 1:
-                        continue
-                    dprime = int(lin)
+                    dprime = lin
                     if mu == 1 and not 1 <= dprime <= 6:
                         continue
                     if mu == 2 and dprime != 8:
@@ -170,9 +177,8 @@ def _fiber_candidates(
                     target = TargetInvariants("del-pezzo-fibration", fiber_degree=dprime)
                 else:
                     ddelta = 12 - lin
-                    if ddelta.denominator != 1 or not 0 <= int(ddelta) <= 11:
+                    if not 0 <= ddelta <= 11:
                         continue
-                    ddelta = int(ddelta)
                     if mu == 1 and ddelta < 3:
                         continue
                     if mu == 2 and ddelta != 0:
@@ -188,43 +194,42 @@ def _fiber_candidates(
                 if defect < 0:
                     continue
                 yield LinkCandidate(
-                    center, g, tag, mu, a, b, (a, b), (a, b), target, ebar, defect, e3,
+                    center, g, tag, mu, a, b, (a, b), (a, b), target, ebar, defect,
+                    Fraction(e3),
                     m_cap=_m_cap(center, g, a, b, birational=False),
                 )
 
 
 def _b1_candidates(
-    center: Center, g: int, vals: tuple[Fraction, ...], bound: int
+    center: Center, g: int, vals: tuple[int, ...], bound: int
 ) -> Iterable[LinkCandidate]:
     k3, ke, kee, e3 = vals
     for iota in (1, 2, 3, 4):
-        for a_m in range(1, bound + 1):
+        trials = range(1, bound + 1) if bound else _b1_trials(center, g, vals, iota)
+        for a_m in trials:
             a_f = iota * a_m - 1
             if a_f < 1:
                 continue
             b_f = iota
             iota_d = k3 * a_m * a_m - 2 * a_m * ke + kee  # Mbar^2.(-K) = iota*d(Y)
-            if iota_d <= 0 or iota_d.denominator != 1 or int(iota_d) % iota:
+            if iota_d <= 0 or iota_d % iota:
                 continue
-            d = int(iota_d) // iota
-            if iota == 4 and d != 1:
-                continue
-            if iota == 3 and d != 2:
-                continue
-            if iota == 2 and not 1 <= d <= 5:
-                continue
-            if iota == 1 and (d < 2 or d % 2):
+            d = iota_d // iota
+            if iota == 1:
+                if d < 2 or d % 2:
+                    continue
+            elif d not in B1_DEGREES[iota]:
                 continue
             deg_z = a_m * a_f * k3 - (a_m * b_f + a_f) * ke + b_f * kee
-            if deg_z.denominator != 1 or deg_z < 1:
+            if deg_z < 1:
                 continue
-            two_gz = a_f * a_f * k3 - 2 * a_f * b_f * ke + b_f * b_f * kee
-            gz = (two_gz + 2) / 2
-            if gz.denominator != 1 or gz < 0:
+            two_gz = a_f * a_f * k3 - 2 * a_f * b_f * ke + b_f * b_f * kee  # 2g(Z) - 2
+            if two_gz % 2 or two_gz < -2:
                 continue
             if not _effectivity_ok(center, g, a_f, b_f, birational=True):
                 continue
-            ebar = k3 * a_m**3 - 3 * a_m * a_m * ke + 3 * a_m * kee - d  # Mbar^3 = d(Y)
+            # Mbar^3 = d(Y)
+            ebar = Fraction(k3 * a_m**3 - 3 * a_m * a_m * ke + 3 * a_m * kee - d)
             defect = e3 - ebar
             if defect < 0:
                 continue
@@ -233,94 +238,136 @@ def _b1_candidates(
                 iota_y=iota,
                 degree_y=d,
                 genus_y=d // 2 + 1 if iota == 1 else None,
-                deg_z=int(deg_z),
-                genus_z=int(gz),
+                deg_z=deg_z,
+                genus_z=two_gz // 2 + 1,
             )
             yield LinkCandidate(
-                center, g, "B1", 1, a_f, b_f, (a_m, 1), (a_f, b_f), target, ebar, defect, e3,
+                center, g, "B1", 1, a_f, b_f, (a_m, 1), (a_f, b_f), target, ebar, defect,
+                Fraction(e3),
                 m_cap=_m_cap(center, g, a_f, b_f, birational=True),
             )
 
 
-def _integer_roots(aa: Fraction, bb: Fraction, cc: Fraction) -> list[int]:
+def _b1_trials(center: Center, g: int, vals: tuple[int, ...], iota: int) -> Iterable[int]:
+    """Every a_m that can pass the B1 checks for a target of index iota."""
+    k3, ke, kee, e3 = vals
+    if iota > 1:
+        # Mbar^2.(-K) = iota*d is a quadratic in a_m for each admitted d
+        return [a for d in B1_DEGREES[iota] for a in _integer_roots(k3, -2 * ke, kee - iota * d)]
+    # iota = 1 admits every even d, so bound a_m through a_f = a_m - 1 >= 1
+    # and the checks on b_f = 1 instead.
+    if g >= EFFECTIVITY_STRICT[center]:
+        return ()  # b_f > a_f >= 1 is impossible
+    if g >= EFFECTIVITY_NONEMPTY[center]:
+        return (2,)  # 1 <= a_f <= b_f = 1
+    # With d = Mbar^2.(-K) substituted, Ebar^3 - E^3 is the cubic below in
+    # a_m with leading coefficient k3 > 0; it is positive (negative defect)
+    # beyond the Cauchy bound 1 + max|c_i|/k3 on its real roots.
+    coeffs = (-(3 * ke + k3), 3 * kee + 2 * ke, -(kee + e3))
+    return range(1, 1 + max(abs(c) for c in coeffs) // k3 + 1)
+
+
+def _integer_roots(aa: int, bb: int, cc: int) -> list[int]:
     """Positive integer roots of aa*x^2 + bb*x + cc = 0 (aa != 0)."""
     disc = bb * bb - 4 * aa * cc
     if disc < 0:
         return []
-    num = disc.numerator * disc.denominator
-    root = math.isqrt(num)
-    if root * root != num:
+    root = math.isqrt(disc)
+    if root * root != disc:
         return []
-    sq = Fraction(root, disc.denominator)
-    out = []
-    for sign in (1, -1):
-        x = (-bb + sign * sq) / (2 * aa)
-        if x.denominator == 1 and x > 0:
-            out.append(int(x))
-    return sorted(set(out))
+    out = set()
+    for num in (-bb + root, -bb - root):
+        x, rem = divmod(num, 2 * aa)
+        if rem == 0 and x > 0:
+            out.add(x)
+    return sorted(out)
 
 
 def _point_blowdown_candidates(
-    center: Center, g: int, vals: tuple[Fraction, ...], bound: int
+    center: Center, g: int, vals: tuple[int, ...], bound: int
 ) -> Iterable[LinkCandidate]:
     k3, ke, kee, e3 = vals
+    trials = _point_blowdown_box(vals, bound) if bound else _point_blowdown_trials(vals)
+    for a_f, b_f in trials:
+        if k3 * a_f * a_f - 2 * a_f * b_f * ke + b_f * b_f * kee != -2:  # Fbar^2.(-K)
+            continue
+        kk = k3 * a_f - ke * b_f
+        if kk not in TAG_BY_K:
+            continue
+        tag = TAG_BY_K[kk]
+        alpha, mu = ALPHA[tag], MU[tag]
+        iota = Fraction(b_f) * alpha / mu
+        if iota.denominator != 1 or not 1 <= iota <= 4:
+            continue
+        iota = int(iota)
+        a_m = (alpha * a_f + 1) / iota
+        if a_m.denominator != 1 or a_m < 1:
+            continue
+        a_m = int(a_m)
+        if not _effectivity_ok(center, g, a_f, b_f, birational=True):
+            continue
+        ebar = (
+            k3 * a_f**3
+            - 3 * a_f * a_f * b_f * ke
+            + 3 * a_f * b_f * b_f * kee
+            - Fraction(4, kk)
+        ) / Fraction(b_f**3)
+        if ebar.denominator != 1:
+            continue
+        defect = e3 - ebar
+        if defect < 0:
+            continue
+        anti_y = (
+            k3
+            + 3 * alpha * kk
+            + 3 * alpha * alpha * (-2)
+            + alpha**3 * Fraction(4, kk)
+        )
+        if anti_y <= 0 or anti_y.denominator != 1:
+            continue
+        anti_y = int(anti_y)
+        target = TargetInvariants(
+            "fano-point-blowdown",
+            k=kk,
+            iota_y=iota,
+            antik_cube_y=anti_y,
+            genus_y=anti_y // 2 + 1 if iota == 1 and anti_y % 2 == 0 else None,
+            singularity=POINT_SINGULARITY[tag],
+        )
+        yield LinkCandidate(
+            center, g, tag, mu, a_f, b_f, (a_m, mu), (a_f, b_f), target, ebar, defect,
+            Fraction(e3),
+            m_cap=_m_cap(center, g, a_f, b_f, birational=True),
+        )
+
+
+def _point_blowdown_box(vals: tuple[int, ...], bound: int) -> Iterable[tuple[int, int]]:
+    k3, ke, kee, _ = vals
     for a_f in range(1, bound + 1):
         # Fbar^2.(-K) = -2 solved for b_f
-        for b_f in _integer_roots(kee, Fraction(-2 * a_f) * ke, k3 * a_f * a_f + 2):
-            if b_f > bound:
-                continue
-            kk = k3 * a_f - ke * b_f
-            if kk.denominator != 1 or int(kk) not in TAG_BY_K:
-                continue
-            kk = int(kk)
-            tag = TAG_BY_K[kk]
-            alpha, mu = ALPHA[tag], MU[tag]
-            iota = Fraction(b_f) * alpha / mu
-            if iota.denominator != 1 or not 1 <= iota <= 4:
-                continue
-            iota = int(iota)
-            a_m = (alpha * a_f + 1) / iota
-            if a_m.denominator != 1 or a_m < 1:
-                continue
-            a_m = int(a_m)
-            if not _effectivity_ok(center, g, a_f, b_f, birational=True):
-                continue
-            ebar = (
-                k3 * a_f**3
-                - 3 * a_f * a_f * b_f * ke
-                + 3 * a_f * b_f * b_f * kee
-                - Fraction(4, kk)
-            ) / Fraction(b_f**3)
-            if ebar.denominator != 1:
-                continue
-            defect = e3 - ebar
-            if defect < 0:
-                continue
-            anti_y = (
-                k3
-                + 3 * alpha * kk
-                + 3 * alpha * alpha * (-2)
-                + alpha**3 * Fraction(4, kk)
-            )
-            if anti_y <= 0 or anti_y.denominator != 1:
-                continue
-            anti_y = int(anti_y)
-            target = TargetInvariants(
-                "fano-point-blowdown",
-                k=kk,
-                iota_y=iota,
-                antik_cube_y=anti_y,
-                genus_y=anti_y // 2 + 1 if iota == 1 and anti_y % 2 == 0 else None,
-                singularity=POINT_SINGULARITY[tag],
-            )
-            yield LinkCandidate(
-                center, g, tag, mu, a_f, b_f, (a_m, mu), (a_f, b_f), target, ebar, defect, e3,
-                m_cap=_m_cap(center, g, a_f, b_f, birational=True),
-            )
+        for b_f in _integer_roots(kee, -2 * a_f * ke, k3 * a_f * a_f + 2):
+            if b_f <= bound:
+                yield a_f, b_f
+
+
+def _point_blowdown_trials(vals: tuple[int, ...]) -> Iterable[tuple[int, int]]:
+    """Every (a_f, b_f) that can pass the point-blowdown checks."""
+    k3, ke, kee, _ = vals
+    for k in TAG_BY_K:
+        # the checks admit only k3*a_f - ke*b_f = k in TAG_BY_K; b_f from it
+        # substituted into Fbar^2.(-K) = -2 leaves a quadratic in a_f, whose
+        # leading coefficient is nonzero as kee < 0 < k3
+        for a_f in _integer_roots(
+            k3 * (kee * k3 - ke * ke), 2 * k * (ke * ke - kee * k3), kee * k * k + 2 * ke * ke
+        ):
+            b_f, rem = divmod(k3 * a_f - k, ke)
+            if rem == 0 and b_f > 0:
+                yield a_f, b_f
 
 
 def _enumerate_cell(center: Center, g: int, bound: int) -> list[LinkCandidate]:
-    vals = _midpoint_values(center, g)
+    # integral for the index-1 sources here, so the trials run on int
+    vals = tuple(int(v) for v in _midpoint_values(center, g))
     if vals[0] <= 0:
         return []
     cands = [
@@ -336,20 +383,25 @@ def enumerate_links(
     center: Center,
     g_range: Iterable[int],
     *,
-    search_bound: int = 20,
+    search_bound: int = 0,
     facts: Optional["LinkFactStore"] = None,
     workers: int = 1,
 ) -> list[LinkCandidate]:
     """All numerically consistent second contractions for the given center and
-    genera, each confirmed or excluded by a named rule.  Deterministic order
-    (g, type, a, b) independent of the worker count."""
+    genera g >= 2, each confirmed or excluded by a named rule, in the order
+    (g, type, a, b).
+
+    With the default search_bound=0 the trial coefficients are the solutions
+    of each contraction type's defining equations, so no box is scanned.
+    With search_bound=N >= 1 they are every coefficient in 1..N instead: the
+    brute-force oracle the tests compare the solve against.  workers is
+    accepted and has no effect."""
+    if search_bound < 0:
+        raise ValueError(f"search_bound must be >= 0, got {search_bound}")
     genera = sorted(set(int(g) for g in g_range))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(lambda g: _enumerate_cell(center, g, search_bound), genera))
-    else:
-        cells = [_enumerate_cell(center, g, search_bound) for g in genera]
-    candidates = [cand for cell in cells for cand in cell]
+    if genera and genera[0] < 2:
+        raise ValueError(f"genus must be >= 2, got {genera[0]}")
+    candidates = [cand for g in genera for cand in _enumerate_cell(center, g, search_bound)]
     return filter_links(candidates, facts)
 
 
@@ -467,12 +519,6 @@ class Rho2Solution:
     antik_cube: int
 
 
-def _rho2_grid(c2_side: bool, bound: int) -> list[Fraction]:
-    step = Fraction(1, 2) if c2_side else Fraction(1)
-    n = int(bound / step)
-    return [step * i for i in range(1, n + 1)]
-
-
 def _is_primitive(a: Fraction, b: Fraction, c2_side: bool) -> bool:
     step = Fraction(1, 2) if c2_side else Fraction(1)
     for t in range(2, 2 * int(max(a, b) / step) + 1):
@@ -481,29 +527,60 @@ def _is_primitive(a: Fraction, b: Fraction, c2_side: bool) -> bool:
     return True
 
 
+# D = a(-K) - bM; (-K).D^2 equals 0, 2, -2 per second-ray kind
+RHO2_SYSTEMS = (("D", 0), ("C", 2), ("B", -2))
+
+
 def rho2_primitive_enumerate(bound: int = 8) -> list[Rho2Solution]:
-    """All solutions of the three second-ray systems on a primitive rho=2
-    Fano threefold carrying a conic bundle with discriminant degree d.
-    Half-integral (a, b) are admitted exactly on the C2 side (d = 0)."""
+    """All solutions with a, b <= bound of the three second-ray systems on a
+    primitive rho=2 Fano threefold carrying a conic bundle with discriminant
+    degree d.  Half-integral (a, b) are admitted exactly on the C2 side
+    (d = 0)."""
     sols: list[Rho2Solution] = []
     for d in range(0, 12):
         if d in (1, 2):
             continue  # a non-empty discriminant curve has degree >= 3
-        c2_side = d == 0
-        grid = _rho2_grid(c2_side, bound)
-        coef = 12 - d
-        for a in grid:
-            for b in grid:
-                # D = a(-K) - bM; (-K).D^2 equals 0, 2, -2 per second-ray kind
-                for system, rhs in (("D", 0), ("C", 2), ("B", -2)):
-                    k3 = (rhs + 2 * coef * a * b - 2 * b * b) / (a * a)
-                    if k3 < 2 or k3.denominator != 1 or int(k3) % 2:
-                        continue
-                    sol = _rho2_solve(system, d, int(k3), a, b, c2_side)
-                    if sol is not None:
-                        sols.append(sol)
+        for a, b, system in _rho2_trials(d, bound):
+            sol = _rho2_trial(d, a, b, system)
+            if sol is not None:
+                sols.append(sol)
     sols.sort(key=lambda s: (s.antik_cube, RAY2_ORDER[s.ray2], s.d))
     return sols
+
+
+def _rho2_trials(d: int, bound: int) -> list[tuple[Fraction, Fraction, int]]:
+    """Every (a, b, system) with a, b on the grid up to bound that can pass
+    _rho2_trial, in (a, b, system) order.  b runs over its grid, which the
+    caller's bound makes finite; a is solved from b."""
+    # (a, b) = (i/s, j/s): the grid has step 1/2 on the C2 side, else step 1
+    s = 2 if d == 0 else 1
+    coef = 12 - d
+    trials = []
+    for j in range(1, bound * s + 1):
+        for system, (kind, rhs) in enumerate(RHO2_SYSTEMS):
+            if kind == "B":
+                # kk = k3*a - coef*b with k3*a^2 from (-K).D^2 = -2 gives
+                # a*(coef*b - kk) = 2 + 2b^2 for each admitted kk
+                quotients = [(2 * s * s + 2 * j * j, coef * j - k * s) for k in TAG_BY_K]
+            else:
+                # k3*a^2 from (-K).D^2 = rhs substituted into D^3 = 0 leaves
+                # rhs - coef*a*b + 4b^2 = 0
+                quotients = [(rhs * s * s + 4 * j * j, coef * j)]
+            for num, den in quotients:  # i = num/den, where num > 0
+                if den > 0 and num % den == 0 and num // den <= bound * s:
+                    trials.append((num // den, j, system))
+    trials.sort()
+    return [(Fraction(i, s), Fraction(j, s), system) for i, j, system in trials]
+
+
+def _rho2_trial(d: int, a: Fraction, b: Fraction, system: int) -> Optional[Rho2Solution]:
+    """The solution at one grid point (a, b) of system RHO2_SYSTEMS[system]
+    for discriminant degree d, or None."""
+    kind, rhs = RHO2_SYSTEMS[system]
+    k3 = (rhs + 2 * (12 - d) * a * b - 2 * b * b) / (a * a)
+    if k3 < 2 or k3.denominator != 1 or int(k3) % 2:
+        return None
+    return _rho2_solve(kind, d, int(k3), a, b, d == 0)
 
 
 def _rho2_solve(

@@ -154,22 +154,19 @@ def trigonal_candidates(g: int) -> list[TrigonalCandidate]:
     The first negative witness excludes the splitting."""
     if g < 5:
         raise ValueError("genus must be >= 5")
-    out: list[TrigonalCandidate] = []
     total = g - 2
     member = cls2(Basis.MF, 3, 2 - total)
-    g_cls = cls2(Basis.MF, 1, -1)
+    # Expanding scroll_intersection, X.G'.G^2 = 3*total + (2 - total) - 3k - 6
+    # = 2*total - 3k - 4 for every splitting.  It decreases in k, so the
+    # first negative value is at k0, and it exists exactly when d_1 >= k0.
+    k0 = (2 * total - 4) // 3 + 1
+    witness = Fraction(2 * total - 3 * k0 - 4)
+    out: list[TrigonalCandidate] = []
     for sp in _splittings(total, 4):
-        scroll = ScrollData(sp)
-        excluded = False
-        witness: Optional[Fraction] = None
-        witness_k: Optional[int] = None
-        for k in range(1, scroll.splitting[0] + 1):
-            gp = cls2(Basis.MF, 1, -k)
-            val = scroll_intersection(scroll, [member, gp, g_cls, g_cls])
-            if val < 0:
-                excluded, witness, witness_k = True, val, k
-                break
-        out.append(TrigonalCandidate(scroll, member, excluded, witness, witness_k))
+        if sp[0] >= k0:
+            out.append(TrigonalCandidate(ScrollData(sp), member, True, witness, k0))
+        else:
+            out.append(TrigonalCandidate(ScrollData(sp), member, False))
     return out
 
 

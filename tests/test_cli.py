@@ -71,6 +71,23 @@ def test_usage_errors_exit_two():
     assert run(["scroll", "--weights", "1,1,1"])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "genus_args,message",
+    [
+        (["--genus", "1"], "genus must be >= 2, got 1"),
+        (["--genus", "-3"], "genus must be >= 2, got -3"),
+        (["--genus-range", "5..3"], "expects A..B with integers A <= B, got '5..3'"),
+        (["--genus-range", "7-13"], "expects A..B with integers A <= B, got '7-13'"),
+        (["--genus-range", "x..3"], "expects A..B with integers A <= B, got 'x..3'"),
+    ],
+)
+def test_link_rejects_bad_genus_input(genus_args, message, capsys):
+    code, text = run(["link", "--center", "line", *genus_args])
+    assert code == 2
+    assert text == ""
+    assert message in capsys.readouterr().err
+
+
 def test_blowup_flag_on_small_cube():
     code, text = run(["blowup", "--antik-cube", "8", "--point"])
     assert code == 0

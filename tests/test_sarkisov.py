@@ -6,9 +6,12 @@ from fano3 import catalog
 from fano3.blowup import CurveCenter, PointCenter
 from fano3.exactcore import Basis, cls2, eval_form
 from fano3.sarkisov import (
+    RAY2_ORDER,
+    RHO2_SYSTEMS,
     InconsistentCandidate,
     LinkCandidate,
     TargetInvariants,
+    _rho2_trial,
     defect,
     enumerate_links,
     euler_propagate,
@@ -197,10 +200,20 @@ def test_round_trip_through_eval_form():
 
 
 def test_search_bound_sufficiency():
+    # the closed-form solve against the brute-force box
     for center in ("line", "conic", "point"):
-        small = enumerate_links(center, range(5, 41), search_bound=20)
-        large = enumerate_links(center, range(5, 41), search_bound=1000)
-        assert small == large
+        solved = enumerate_links(center, range(5, 41))
+        assert solved == enumerate_links(center, range(5, 41), search_bound=1000)
+        sparse = [41, 97, 211, 400]
+        assert enumerate_links(center, sparse) == enumerate_links(center, sparse, search_bound=200)
+
+
+def test_enumerate_links_rejects_bad_arguments():
+    for g in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"genus must be >= 2, got {g}"):
+            enumerate_links("line", [g, 7])
+    with pytest.raises(ValueError, match="search_bound must be >= 0, got -1"):
+        enumerate_links("line", [7], search_bound=-1)
 
 
 def test_worker_count_does_not_change_output():
@@ -255,6 +268,29 @@ def test_rho2_primitive_solutions():
     assert (table[62].ray2, table[62].k) == ("B5", 1)
     assert (table[62].a, table[62].b) == (half, Fraction(5, 2))
     assert table[62].g == 32
+
+
+def _rho2_grid_scan(bound):
+    # the brute-force oracle: every grid point (a, b) up to bound
+    sols = []
+    for d in (0, *range(3, 12)):
+        step = Fraction(1, 2) if d == 0 else Fraction(1)
+        grid = [step * i for i in range(1, int(bound / step) + 1)]
+        for a in grid:
+            for b in grid:
+                for system in range(len(RHO2_SYSTEMS)):
+                    sol = _rho2_trial(d, a, b, system)
+                    if sol is not None:
+                        sols.append(sol)
+    sols.sort(key=lambda s: (s.antik_cube, RAY2_ORDER[s.ray2], s.d))
+    return sols
+
+
+@pytest.mark.parametrize("bound", [8, 16])
+def test_rho2_solve_matches_grid_scan(bound):
+    sols = rho2_primitive_enumerate(bound)
+    assert len(sols) == 9
+    assert sols == _rho2_grid_scan(bound)
 
 
 def test_rho2_matches_catalog_primitive_entries():

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -91,6 +92,23 @@ def test_trigonal_case_lists():
     g10 = {c.scroll.splitting: c for c in trigonal_candidates(10)}
     assert not g10[(2, 2, 2, 2)].excluded
     assert g10[(5, 1, 1, 1)].excluded
+
+
+def test_trigonal_witness_matches_intersection_loop():
+    # the closed-form first witness against the sign test run at every k
+    for g in range(5, 31):
+        for cand in trigonal_candidates(g):
+            s = cand.scroll
+            witness = witness_k = None
+            for k in range(1, s.splitting[0] + 1):
+                val = scroll_intersection(s, [cand.member_class, mf(1, -k), mf(1, -1), mf(1, -1)])
+                if val < 0:
+                    witness, witness_k = val, k
+                    break
+            assert (cand.excluded, cand.witness, cand.witness_k) == (
+                witness is not None, witness, witness_k
+            )
+            assert witness is None or type(cand.witness) is Fraction
 
 
 def test_trigonal_member_class_and_sums():
