@@ -3,63 +3,28 @@
 
 Runs the two-ray link enumeration for all three centers, the Picard-rank-2
 primitive systems, the hyperelliptic/trigonal scroll case lists, and the
-catalog verifier.  Everything is exact arithmetic; total runtime is seconds.
+catalog verifier, each as a `fano3` command whose argv heads its table.
+Everything is exact arithmetic; total runtime is seconds.  Exits nonzero if
+any command does.
 """
 
 import sys
 
-from fano3 import catalog
-from fano3.sarkisov import enumerate_links, rho2_primitive_enumerate
-from fano3.scrolls import hyperelliptic_candidates, mark_realized, trigonal_candidates
+from fano3.cli import main
 
-
-def frac(x):
-    return str(x) if x.denominator != 1 else str(x.numerator)
-
-
-def main() -> int:
-    print("== two-ray links on index-1 threefolds, genus 7..40 ==")
-    for center in ("line", "conic", "point"):
-        print(f"-- center: {center}")
-        for c in enumerate_links(center, range(7, 41)):
-            t = c.target
-            extra = {k: v for k, v in t.__dict__.items() if v is not None and k != "kind"}
-            print(
-                f"   g={c.g:<3d} {c.ctype:<6s} Fbar={c.fbar} Ebar^3={frac(c.ebar_cube):>4s} "
-                f"def={frac(c.defect):>3s} {c.status:<50s} {t.kind} {extra}"
-            )
-
-    print("\n== primitive Picard-rank-2 solutions ==")
-    for s in rho2_primitive_enumerate():
-        print(
-            f"   (-K)^3={s.antik_cube:<3d} rays=({s.ray1},{s.ray2:<6s}) d={s.d} "
-            f"d'={'-' if s.d_prime is None else s.d_prime} g={s.g:<3d} a={s.a} b={s.b}"
-        )
-
-    print("\n== hyperelliptic scroll case lists ==")
-    for g in (4, 5, 6, 7):
-        cands = mark_realized(
-            hyperelliptic_candidates(g), catalog.realized_scrolls("hyperelliptic", g)
-        )
-        rows = ", ".join(f"{c.scroll.splitting}:{c.status}" for c in cands)
-        print(f"   g={g}: {rows}")
-
-    print("\n== trigonal scroll case lists ==")
-    for g in (6, 7, 8, 9, 10):
-        cands = mark_realized(
-            trigonal_candidates(g), catalog.realized_scrolls("trigonal", g)
-        )
-        rows = ", ".join(f"{c.scroll.splitting}:{c.status}" for c in cands)
-        print(f"   g={g}: {rows}")
-
-    print("\n== catalog verification ==")
-    results = catalog.verify_all()
-    failures = [r for r in results if not r.passed]
-    print(f"   {len(results)} checks, {len(failures)} failures")
-    for r in failures:
-        print(f"   FAIL {r.entry_id} {r.check}: {r.lhs} != {r.rhs}")
-    return 1 if failures else 0
+COMMANDS = [
+    *(["link", "--center", c, "--genus-range", "7..40", "--show-excluded"]
+      for c in ("line", "conic", "point")),
+    ["rho2", "enumerate-primitive"],
+    *(["scroll", "--hyperelliptic", str(g)] for g in range(4, 8)),
+    *(["scroll", "--trigonal", str(g)] for g in range(6, 11)),
+    ["catalog", "verify", "--all"],
+]
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    codes = []
+    for argv in COMMANDS:
+        print("== fano3", *argv, flush=True)
+        codes.append(main(argv))
+    sys.exit(max(codes))

@@ -68,10 +68,12 @@ def blowup_curve(antik_cube: Rat, center: CurveCenter) -> TrilinearForm:
 def blowup_point(antik_cube: Rat) -> TrilinearForm:
     """Form on (-K_tilde, E) for the blowup of a point: (c - 8, 4, -2, 1).
 
-    The result is flagged (TrilinearForm.not_big), never rejected, when
-    (-K_tilde)^3 <= 0.
+    Raises ValueError for c <= 0, as blowup_curve does.  A positive c with
+    (-K_tilde)^3 <= 0 is flagged (TrilinearForm.not_big), not rejected.
     """
     c = Fraction(antik_cube)
+    if c <= 0:
+        raise ValueError("antik_cube must be positive")
     return form2(Basis.KE, c - 8, 4, -2, 1)
 
 

@@ -63,7 +63,7 @@ class Catalog:
         for e in self.entries:
             if e.id == entry_id:
                 return e
-        raise KeyError(entry_id)
+        raise KeyError(f"unknown catalog id {entry_id!r}")
 
     def list(
         self,

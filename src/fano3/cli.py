@@ -30,7 +30,7 @@ def _jsonable(obj: Any) -> Any:
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
-    return str(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj: Any) -> str:
@@ -86,7 +86,10 @@ def _cmd_blowup(args, out) -> int:
         form = blowup.blowup_point(c)
         center = {"kind": "point"}
     else:
-        deg, genus = (int(x) for x in args.curve.split(","))
+        try:
+            deg, genus = (int(x) for x in args.curve.split(","))
+        except ValueError:
+            raise SystemExit2(f"--curve expects DEG,GENUS with integers, got {args.curve!r}") from None
         form = blowup.blowup_curve(c, blowup.CurveCenter(deg, genus))
         center = {"kind": "curve", "deg_antik": deg, "genus": genus}
     names = ["(-K)^3", "(-K)^2.E", "(-K).E^2", "E^3"]
@@ -230,8 +233,8 @@ def candidate_payload(c: sarkisov.LinkCandidate) -> dict:
         "g": c.g,
         "type": c.ctype,
         "mu": c.mu,
-        "a": c.a,
-        "b": c.b,
+        "a": c.fbar[0],
+        "b": c.fbar[1],
         "mbar": list(c.mbar),
         "fbar": list(c.fbar),
         "target": {k: v for k, v in dataclasses.asdict(c.target).items() if v is not None},
@@ -281,7 +284,7 @@ def _cmd_link(args, out) -> int:
         genera = [args.genus]
     else:
         genera = _parse_genus_range(args.genus_range)
-    cands = sarkisov.enumerate_links(args.center, genera, workers=args.workers)
+    cands = sarkisov.enumerate_links(args.center, genera)
     if not args.show_excluded:
         cands = [c for c in cands if c.confirmed]
     payload = [candidate_payload(c) for c in cands]
@@ -402,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     ln.add_argument("--genus", type=int)
     ln.add_argument("--genus-range", help="A..B inclusive")
     ln.add_argument("--show-excluded", action="store_true")
-    ln.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     ln.add_argument("--json", action="store_true")
 
     r2 = sub.add_parser("rho2", help="Picard-number-2 enumeration")
@@ -442,11 +444,11 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args, out)
-    except SystemExit2 as exc:
+    except (SystemExit2, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
 

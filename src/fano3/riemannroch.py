@@ -116,7 +116,8 @@ def hilbert_polynomial(fn: FanoNumerics) -> HilbertPolynomial:
     lead = d / Fraction(math.factorial(n))
     coeffs = tuple(lead * v for v in poly)
     chi = HilbertPolynomial(coeffs)
-    assert chi(0) == 1, "normalization chi(0) = 1 failed"
+    if chi(0) != 1:
+        raise ArithmeticError("normalization chi(0) = 1 failed")
     return chi
 
 
@@ -135,7 +136,8 @@ def h0_fundamental(fn: FanoNumerics) -> int:
     else:
         raise UnsupportedCoindex(f"coindex {c} > 3")
     chi1 = hilbert_polynomial(fn)(1)
-    assert chi1 == value, f"section count {value} disagrees with chi(1) = {chi1}"
+    if chi1 != value:
+        raise ArithmeticError(f"section count {value} disagrees with chi(1) = {chi1}")
     return value
 
 
@@ -177,5 +179,6 @@ def threefold_h0_index2(d: int, t: int) -> int:
     if t <= -2:
         raise ValueError("closed form is stated for t > -2")
     val = Fraction(t * (t + 2) * (2 * t + 2) * d, 12) + t + 1
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise ArithmeticError(f"non-integral section count {val}")
     return int(val)

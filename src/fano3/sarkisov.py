@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Literal, Optional, Sequence
 
 from fano3.blowup import CurveCenter, PointCenter, blowup_curve, blowup_point
-from fano3.exactcore import Basis, TrilinearForm, form2
+from fano3.exactcore import TrilinearForm
 
 Center = Literal["line", "conic", "point"]
 
@@ -31,6 +31,8 @@ CENTER_DATA: dict[str, CurveCenter | PointCenter] = {
 MU = {"C1": 1, "C2": 2, "D1": 1, "D2": 2, "D3": 3, "B1": 1, "B2": 2, "B3/B4": 1, "B5": 1}
 ALPHA = {"B1": Fraction(1), "B2": Fraction(2), "B3/B4": Fraction(1), "B5": Fraction(1, 2)}
 TAG_BY_K = {4: "B2", 2: "B3/B4", 1: "B5"}
+# degree (-K)^2.F of the fiber F of each del Pezzo fibration type
+DP_DEGREES = {"D1": range(1, 7), "D2": (8,), "D3": (9,)}
 # degree d(Y) a B1 target of index iota >= 2 may have: P^3, the quadric and the
 # del Pezzo threefolds; index 1 admits every even d >= 2.
 B1_DEGREES = {4: (1,), 3: (2,), 2: range(1, 6)}
@@ -89,17 +91,17 @@ class LinkCandidate:
     center: Center
     g: int
     ctype: str
-    mu: int
-    a: int  # coefficients of Mbar (fiber types) resp. Fbar (birational types)
-    b: int
     mbar: tuple[int, int]
-    fbar: tuple[int, int]
+    fbar: tuple[int, int]  # (a, b): Mbar for the fiber types, where mbar == fbar
     target: TargetInvariants
     ebar_cube: Fraction
     defect: Fraction
-    e3_tilde: Fraction
     status: str = "candidate"
     m_cap: Optional[int] = None
+
+    @property
+    def mu(self) -> int:
+        return MU[self.ctype]
 
     @property
     def birational(self) -> bool:
@@ -109,25 +111,15 @@ class LinkCandidate:
     def confirmed(self) -> bool:
         return self.status == "confirmed"
 
-    def midpoint(self) -> TrilinearForm:
-        """The far-side form on (-K, Ebar), with the solved Ebar^3."""
-        k3, ke, kee, _ = _midpoint_values(self.center, self.g)
-        return form2(Basis.KE, k3, ke, kee, self.ebar_cube)
-
-
-def _midpoint_values(center: Center, g: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    data = CENTER_DATA[center]
-    c = Fraction(2 * g - 2)
-    form = blowup_point(c) if isinstance(data, PointCenter) else blowup_curve(c, data)
-    return form.values  # type: ignore[return-value]
-
 
 def midpoint_form(center: Center, g: int) -> TrilinearForm:
     """Midpoint form on (-K, E) for a named center on an index-1 source of
     genus g.  The first three values are flop-invariant; the E^3 slot holds
     the blowup-side value (Ebar^3 is fixed per candidate).  Higher-index
     sources go through fano3.blowup with explicit (antik_cube, center)."""
-    return form2(Basis.KE, *_midpoint_values(center, g))
+    data = CENTER_DATA[center]
+    c = Fraction(2 * g - 2)
+    return blowup_point(c) if isinstance(data, PointCenter) else blowup_curve(c, data)
 
 
 def _effectivity_ok(center: Center, g: int, a: int, b: int, birational: bool) -> bool:
@@ -154,27 +146,16 @@ def _fiber_candidates(
     for kind, mus, q2_target in (("D", (1, 2, 3), 0), ("C", (1, 2), 2)):
         for mu in mus:
             b = mu
-            if bound:
-                trials: Iterable[int] = range(1, bound + 1)
-            else:
-                # with b fixed, Mbar^2.(-K) = q2 is a quadratic in a with
-                # leading coefficient k3 > 0: its positive integer roots are
-                # the only a that pass the first check below
-                trials = _integer_roots(k3, -2 * b * ke, b * b * kee - q2_target)
+            trials = range(1, bound + 1) if bound else _fiber_trials(vals, b, q2_target)
             for a in trials:
                 if k3 * a * a - 2 * a * b * ke + b * b * kee != q2_target:
                     continue
                 lin = k3 * a - ke * b
                 if kind == "D":
-                    dprime = lin
-                    if mu == 1 and not 1 <= dprime <= 6:
-                        continue
-                    if mu == 2 and dprime != 8:
-                        continue
-                    if mu == 3 and dprime != 9:
-                        continue
                     tag = f"D{mu}"
-                    target = TargetInvariants("del-pezzo-fibration", fiber_degree=dprime)
+                    if lin not in DP_DEGREES[tag]:
+                        continue
+                    target = TargetInvariants("del-pezzo-fibration", fiber_degree=lin)
                 else:
                     ddelta = 12 - lin
                     if not 0 <= ddelta <= 11:
@@ -194,10 +175,18 @@ def _fiber_candidates(
                 if defect < 0:
                     continue
                 yield LinkCandidate(
-                    center, g, tag, mu, a, b, (a, b), (a, b), target, ebar, defect,
-                    Fraction(e3),
+                    center, g, tag, (a, b), (a, b), target, ebar, defect,
                     m_cap=_m_cap(center, g, a, b, birational=False),
                 )
+
+
+def _fiber_trials(vals: tuple[int, ...], b: int, q2: int) -> list[int]:
+    """Every a that can pass the fiber-type checks for Mbar = a(-K) - bE."""
+    k3, ke, kee, _ = vals
+    # with b fixed, Mbar^2.(-K) = q2 is a quadratic in a with leading
+    # coefficient k3 > 0: its positive integer roots are the only a that pass
+    # the first check in _fiber_candidates
+    return _integer_roots(k3, -2 * b * ke, b * b * kee - q2)
 
 
 def _b1_candidates(
@@ -242,8 +231,7 @@ def _b1_candidates(
                 genus_z=two_gz // 2 + 1,
             )
             yield LinkCandidate(
-                center, g, "B1", 1, a_f, b_f, (a_m, 1), (a_f, b_f), target, ebar, defect,
-                Fraction(e3),
+                center, g, "B1", (a_m, 1), (a_f, b_f), target, ebar, defect,
                 m_cap=_m_cap(center, g, a_f, b_f, birational=True),
             )
 
@@ -335,8 +323,7 @@ def _point_blowdown_candidates(
             singularity=POINT_SINGULARITY[tag],
         )
         yield LinkCandidate(
-            center, g, tag, mu, a_f, b_f, (a_m, mu), (a_f, b_f), target, ebar, defect,
-            Fraction(e3),
+            center, g, tag, (a_m, mu), (a_f, b_f), target, ebar, defect,
             m_cap=_m_cap(center, g, a_f, b_f, birational=True),
         )
 
@@ -367,7 +354,7 @@ def _point_blowdown_trials(vals: tuple[int, ...]) -> Iterable[tuple[int, int]]:
 
 def _enumerate_cell(center: Center, g: int, bound: int) -> list[LinkCandidate]:
     # integral for the index-1 sources here, so the trials run on int
-    vals = tuple(int(v) for v in _midpoint_values(center, g))
+    vals = tuple(int(v) for v in midpoint_form(center, g).values)
     if vals[0] <= 0:
         return []
     cands = [
@@ -375,7 +362,7 @@ def _enumerate_cell(center: Center, g: int, bound: int) -> list[LinkCandidate]:
         *_b1_candidates(center, g, vals, bound),
         *_point_blowdown_candidates(center, g, vals, bound),
     ]
-    cands.sort(key=lambda c: (c.g, c.ctype, c.a, c.b))
+    cands.sort(key=lambda c: (c.g, c.ctype, c.fbar))
     return cands
 
 
@@ -385,17 +372,15 @@ def enumerate_links(
     *,
     search_bound: int = 0,
     facts: Optional["LinkFactStore"] = None,
-    workers: int = 1,
 ) -> list[LinkCandidate]:
     """All numerically consistent second contractions for the given center and
     genera g >= 2, each confirmed or excluded by a named rule, in the order
-    (g, type, a, b).
+    (g, type, fbar).
 
     With the default search_bound=0 the trial coefficients are the solutions
     of each contraction type's defining equations, so no box is scanned.
     With search_bound=N >= 1 they are every coefficient in 1..N instead: the
-    brute-force oracle the tests compare the solve against.  workers is
-    accepted and has no effect."""
+    brute-force oracle the tests compare the solve against."""
     if search_bound < 0:
         raise ValueError(f"search_bound must be >= 0, got {search_bound}")
     genera = sorted(set(int(g) for g in g_range))
@@ -487,9 +472,8 @@ def _status(cand: LinkCandidate, facts: LinkFactStore) -> str:
         chi_y = facts.chi(target)
         if chi_x is not None and chi_y is not None:
             if cand.ctype == "B1":
-                z: CurveCenter | PointCenter = CurveCenter(
-                    max(cand.target.deg_z or 1, 1), cand.target.genus_z or 0
-                )
+                # B1 admits only deg_z >= 1 and always sets genus_z
+                z: CurveCenter | PointCenter = CurveCenter(cand.target.deg_z, cand.target.genus_z)
             else:
                 z = PointCenter()
             c_x = CENTER_DATA[cand.center]
@@ -517,14 +501,6 @@ class Rho2Solution:
     a: Fraction
     b: Fraction
     antik_cube: int
-
-
-def _is_primitive(a: Fraction, b: Fraction, c2_side: bool) -> bool:
-    step = Fraction(1, 2) if c2_side else Fraction(1)
-    for t in range(2, 2 * int(max(a, b) / step) + 1):
-        if (a / t) % step == 0 and (b / t) % step == 0:
-            return False
-    return True
 
 
 # D = a(-K) - bM; (-K).D^2 equals 0, 2, -2 per second-ray kind
@@ -577,54 +553,39 @@ def _rho2_trial(d: int, a: Fraction, b: Fraction, system: int) -> Optional[Rho2S
     """The solution at one grid point (a, b) of system RHO2_SYSTEMS[system]
     for discriminant degree d, or None."""
     kind, rhs = RHO2_SYSTEMS[system]
-    k3 = (rhs + 2 * (12 - d) * a * b - 2 * b * b) / (a * a)
+    coef = 12 - d
+    k3 = (rhs + 2 * coef * a * b - 2 * b * b) / (a * a)
     if k3 < 2 or k3.denominator != 1 or int(k3) % 2:
         return None
-    return _rho2_solve(kind, d, int(k3), a, b, d == 0)
-
-
-def _rho2_solve(
-    system: str, d: int, k3: int, a: Fraction, b: Fraction, c2_side: bool
-) -> Optional[Rho2Solution]:
-    coef = 12 - d
-    ray1 = "C2" if c2_side else "C1"
+    k3 = int(k3)
+    lin = k3 * a - coef * b  # (-K)^2.D: d' of a D-ray, 12 - d' of a C-ray, k of a B-ray
+    if lin.denominator != 1:
+        return None
+    lin = int(lin)
+    ray1 = "C2" if d == 0 else "C1"
     g = k3 // 2 + 1
-    if system == "D":
-        if k3 * a * a - 3 * coef * a * b + 6 * b * b != 0:  # D^3 = 0
+    if kind == "B":
+        # blowup of a point, D the exceptional divisor
+        if lin not in TAG_BY_K:
             return None
-        if not _is_primitive(a, b, c2_side):
+        if k3 * a**3 - 3 * coef * a * a * b + 6 * a * b * b != Fraction(4, lin):  # D^3 = 4/k
             return None
-        dprime = k3 * a - coef * b
-        if dprime.denominator != 1:
-            return None
-        dprime = int(dprime)
-        if 1 <= dprime <= 6:
-            ray2 = "D1"
-        elif dprime == 8:
-            ray2 = "D2"
-        elif dprime == 9:
-            ray2 = "D3"
-        else:
-            return None
-        return Rho2Solution(ray1, ray2, d, dprime, None, g, a, b, k3)
-    if system == "C":
-        if k3 * a * a - 3 * coef * a * b + 6 * b * b != 0:  # D^3 = 0
-            return None
-        dprime = 12 - (k3 * a - coef * b)
-        if dprime.denominator != 1:
-            return None
-        dprime = int(dprime)
+        return Rho2Solution(ray1, TAG_BY_K[lin], d, None, lin, g, a, b, k3)
+    if k3 * a * a - 3 * coef * a * b + 6 * b * b != 0:  # D^3 = 0
+        return None
+    if kind == "C":
+        dprime = 12 - lin
         if not (dprime == 0 or 3 <= dprime <= 11):
             return None
         if d < dprime:
             return None  # symmetric pair already listed from the other side
         ray2 = "C1" if dprime > 0 else "C2"
         return Rho2Solution(ray1, ray2, d, dprime, None, g, a, b, k3)
-    # B: blowup of a point, D the exceptional divisor
-    kk = k3 * a - coef * b
-    if kk.denominator != 1 or int(kk) not in TAG_BY_K:
+    # D is primitive iff gcd(i, j) = 1 for (a, b) = (i/s, j/s) on the grid
+    s = 2 if d == 0 else 1
+    if math.gcd(int(a * s), int(b * s)) != 1:
         return None
-    kk = int(kk)
-    if k3 * a**3 - 3 * coef * a * a * b + 6 * a * b * b != Fraction(4, kk):  # D^3 = 4/k
-        return None
-    return Rho2Solution(ray1, TAG_BY_K[kk], d, None, kk, g, a, b, k3)
+    for ray2, degrees in DP_DEGREES.items():
+        if lin in degrees:
+            return Rho2Solution(ray1, ray2, d, lin, None, g, a, b, k3)
+    return None

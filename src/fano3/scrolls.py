@@ -7,7 +7,7 @@ Top intersections use M^m = sum(d_i), M^(m-1).F = 1, and F.F = 0.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -179,10 +179,5 @@ def mark_realized(
     out = []
     for cand in candidates:
         entry = realized.get(cand.scroll.splitting)
-        if entry is None:
-            out.append(cand)
-        else:
-            out.append(
-                type(cand)(**{**cand.__dict__, "realized_as": entry})  # type: ignore[arg-type]
-            )
+        out.append(cand if entry is None else replace(cand, realized_as=entry))
     return out

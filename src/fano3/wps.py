@@ -74,7 +74,8 @@ def normalize(w: WeightSystem) -> WeightSystem:
                 changed = True
                 break
     out = WeightSystem(tuple(weights))
-    assert is_well_formed(out)
+    if not is_well_formed(out):
+        raise ArithmeticError(f"normalize left {out.weights} not well-formed")
     return out
 
 

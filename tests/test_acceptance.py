@@ -198,9 +198,8 @@ def test_criterion_8_catalog_verification():
 
 def test_criterion_9_determinism():
     commands = [
-        ["link", "--center", c, "--genus-range", "7..40", "--show-excluded", "--json", "--workers", str(w)]
+        ["link", "--center", c, "--genus-range", "7..40", "--show-excluded", "--json"]
         for c in ("line", "conic", "point")
-        for w in (1, 4)
     ] + [["rho2", "enumerate-primitive", "--json"], ["catalog", "list", "--json"]]
     first = []
     for argv in commands:
@@ -213,7 +212,4 @@ def test_criterion_9_determinism():
         assert main(argv, out=out) == 0
         second.append(out.getvalue())
     assert first == second
-    # worker counts never change the bytes
-    for i in range(0, 6, 2):
-        assert first[i] == first[i + 1]
     report("9 determinism")

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from fano3.cli import main
+from fano3.cli import dumps, main
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "samples"
 
@@ -106,11 +106,26 @@ def test_repeated_runs_are_byte_identical():
         assert run(argv) == run(argv)
 
 
-def test_worker_count_invariance_of_link_json():
-    base = ["link", "--center", "conic", "--genus-range", "7..20", "--show-excluded", "--json"]
-    _, seq = run(base + ["--workers", "1"])
-    _, par = run(base + ["--workers", "4"])
-    assert seq == par
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["blowup", "--antik-cube", "-5", "--point"], "antik_cube must be positive"),
+        (["blowup", "--antik-cube", "0", "--curve", "1,0"], "antik_cube must be positive"),
+        (["blowup", "--antik-cube", "22", "--curve", "1,0,3"], "expects DEG,GENUS with integers, got '1,0,3'"),
+        (["blowup", "--antik-cube", "22", "--curve", "1,x"], "expects DEG,GENUS with integers, got '1,x'"),
+        (["catalog", "verify", "--id", "nope"], "error: unknown catalog id 'nope'"),
+    ],
+)
+def test_invalid_input_exits_two_with_message(argv, message, capsys):
+    code, text = run(argv)
+    assert code == 2
+    assert text == ""
+    assert message in capsys.readouterr().err
+
+
+def test_dumps_rejects_unknown_objects():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        dumps(object())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))

@@ -7,7 +7,7 @@ import pytest
 
 from fano3 import catalog
 from fano3.exactcore import Basis, change_basis, cls2, eval_form, form2
-from fano3.sarkisov import enumerate_links
+from fano3.sarkisov import enumerate_links, midpoint_form
 
 IOTA = catalog.IOTA_BY_TARGET
 DEGREE_Y = {"p3": 1, "quadric": 2, "v3": 3, "v4": 4, "v5": 5}
@@ -81,4 +81,4 @@ def test_confirmed_b1_candidates_match_far_side_blowup(center):
         kbar = cls2(Basis.MF, iota, -1)
         ebar = cls2(Basis.MF, c.fbar[0], -a_m)  # Ebar = (a_m*iota - 1) M - a_m F
         ke = change_basis(form, [kbar, ebar], Basis.KE)
-        assert ke.values == c.midpoint().values
+        assert ke.values == (*midpoint_form(center, c.g).values[:3], c.ebar_cube)

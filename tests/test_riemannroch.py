@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -156,3 +160,37 @@ def test_discrete_derivative_leading_coefficient(g):
     diff = lambda t: chi(t) - chi(t - 1)
     second = [diff(t + 1) - 2 * diff(t) + diff(t - 1) for t in range(-3, 4)]
     assert all(v == 2 * (g - 1) for v in second)
+
+
+# each invariant is broken on purpose in a `python -O` child, where a bare
+# assert would be stripped; every one must still raise
+OPTIMIZED_CHECKS = """
+from fractions import Fraction
+from fano3 import riemannroch, wps
+
+def raises(call):
+    try:
+        call()
+    except ArithmeticError:
+        return True
+    return False
+
+fn = riemannroch.FanoNumerics(3, 1, 22)
+seen = [raises(lambda: riemannroch.threefold_h0_index2(Fraction(1, 2), 1))]
+riemannroch.HilbertPolynomial.__call__ = lambda self, t: Fraction(2)
+seen.append(raises(lambda: riemannroch.hilbert_polynomial(fn)))
+riemannroch.hilbert_polynomial = lambda fn: (lambda t: Fraction(0))
+seen.append(raises(lambda: riemannroch.h0_fundamental(fn)))
+wps.is_well_formed = lambda w: False
+seen.append(raises(lambda: wps.normalize(wps.WeightSystem((1, 1, 2)))))
+print(seen)
+"""
+
+
+def test_invariant_checks_survive_python_optimize():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS], env=env, capture_output=True, text=True
+    )
+    assert proc.stdout == "[True, True, True, True]\n", proc.stderr

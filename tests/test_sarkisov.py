@@ -4,13 +4,17 @@ import pytest
 
 from fano3 import catalog
 from fano3.blowup import CurveCenter, PointCenter
-from fano3.exactcore import Basis, cls2, eval_form
+from fano3.exactcore import Basis, cls2, eval_form, form2
 from fano3.sarkisov import (
     RAY2_ORDER,
     RHO2_SYSTEMS,
+    TAG_BY_K,
     InconsistentCandidate,
     LinkCandidate,
     TargetInvariants,
+    _fiber_trials,
+    _point_blowdown_box,
+    _point_blowdown_trials,
     _rho2_trial,
     defect,
     enumerate_links,
@@ -154,15 +158,15 @@ def test_line_defects_match_minus_iota_oracle():
     assert cands
     for c in cands:
         assert c.ebar_cube == -c.target.iota_y
-        assert defect(c) == c.e3_tilde + c.target.iota_y
+        assert defect(c) == midpoint_form(c.center, c.g).values[3] + c.target.iota_y
     assert {(c.g, c.defect) for c in cands} == {(9, 5), (10, 4), (12, 3)}
 
 
 def test_negative_defect_raises():
     broken = LinkCandidate(
-        "line", 9, "B1", 1, 3, 4, (1, 1), (3, 4),
+        "line", 9, "B1", (1, 1), (3, 4),
         TargetInvariants("fano-curve-blowdown", iota_y=4, degree_y=1),
-        ebar_cube=Fraction(5), defect=Fraction(-4), e3_tilde=Fraction(1),
+        ebar_cube=Fraction(5), defect=Fraction(-4),
     )
     with pytest.raises(InconsistentCandidate):
         defect(broken)
@@ -172,7 +176,8 @@ def test_round_trip_through_eval_form():
     # substituting the solved Ebar^3 back, every defining relation holds
     for center in ("line", "conic", "point"):
         for c in enumerate_links(center, range(7, 14)):
-            form = c.midpoint()
+            # the far-side form on (-K, Ebar), with the solved Ebar^3
+            form = form2(Basis.KE, *midpoint_form(c.center, c.g).values[:3], c.ebar_cube)
             k = cls2(Basis.KE, 1, 0)
             mbar = cls2(Basis.KE, c.mbar[0], -c.mbar[1])
             fbar = cls2(Basis.KE, c.fbar[0], -c.fbar[1])
@@ -216,11 +221,32 @@ def test_enumerate_links_rejects_bad_arguments():
         enumerate_links("line", [7], search_bound=-1)
 
 
-def test_worker_count_does_not_change_output():
-    for center in ("line", "conic", "point"):
-        seq = enumerate_links(center, range(7, 21), workers=1)
-        par = enumerate_links(center, range(7, 21), workers=4)
-        assert seq == par
+def test_solved_trials_cover_every_box_point():
+    # trial-level oracle on synthetic midpoint values (k3, ke, kee): every box
+    # point on a defining equation must be a solved trial, also for the types
+    # no index-1 source realizes, which the enumeration oracle cannot see
+    box = 60
+    fiber_hits = dict.fromkeys([("D", 1), ("D", 2), ("D", 3), ("C", 1), ("C", 2)], 0)
+    k_hits = dict.fromkeys(TAG_BY_K, 0)
+    for k3 in range(1, 41):
+        for ke in (*range(-6, 0), *range(1, 7)):
+            for kee in range(-6, 0):
+                vals = (k3, ke, kee, 0)
+                for kind, mu in fiber_hits:
+                    q2 = 0 if kind == "D" else 2  # Mbar^2.(-K)
+                    solved = _fiber_trials(vals, mu, q2)
+                    for a in range(1, box + 1):
+                        if k3 * a * a - 2 * a * mu * ke + mu * mu * kee == q2:
+                            assert a in solved, (vals, kind, mu, a)
+                            fiber_hits[kind, mu] += 1
+                pairs = set(_point_blowdown_trials(vals))
+                for a_f, b_f in _point_blowdown_box(vals, box):  # Fbar^2.(-K) = -2
+                    k = k3 * a_f - ke * b_f
+                    if k in k_hits:
+                        assert (a_f, b_f) in pairs, (vals, a_f, b_f)
+                        k_hits[k] += 1
+    assert all(fiber_hits.values()), fiber_hits
+    assert all(k_hits.values()), k_hits
 
 
 # --- Euler propagation ------------------------------------------------------
