@@ -9,7 +9,7 @@ backs the fact store consumed by the link filter.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -17,7 +17,6 @@ from typing import Any, Optional
 
 from fano3.blowup import CurveCenter, blowup_curve
 from fano3.riemannroch import FanoNumerics, hilbert_polynomial
-from fano3.sarkisov import GeometricRule, LinkFactStore
 
 IOTA_BY_TARGET = {"p3": 4, "quadric": 3, "v1": 2, "v2": 2, "v3": 2, "v4": 2, "v5": 2}
 
@@ -197,6 +196,29 @@ def verify_all(cat: Optional[Catalog] = None) -> list[CheckResult]:
     for entry in cat.entries:
         out.extend(verify(entry, cat))
     return out
+
+
+@dataclass(frozen=True)
+class GeometricRule:
+    center: str
+    fbar: tuple[int, int]
+    rule: str
+
+
+@dataclass(frozen=True)
+class LinkFactStore:
+    """Catalog-backed inputs for sarkisov.filter_links."""
+
+    known_genera: frozenset[int]
+    chi_by_subject: dict[str, int]
+    rational_subjects: frozenset[str]
+    irrational_subjects: frozenset[str]
+    geometric_rules: tuple[GeometricRule, ...] = field(default_factory=tuple)
+
+    def chi(self, subject: Optional[str]) -> Optional[int]:
+        if subject is None:
+            return None
+        return self.chi_by_subject.get(subject)
 
 
 def link_facts(cat: Optional[Catalog] = None) -> LinkFactStore:

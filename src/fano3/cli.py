@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -48,15 +49,9 @@ def _frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-class SystemExit2(Exception):
-    """Usage error surfaced with exit code 2."""
-
-
 # --- rr -------------------------------------------------------------------
 
 def _cmd_rr(args, out) -> int:
-    if (args.degree is None) == (args.genus is None):
-        raise SystemExit2("give exactly one of --degree / --genus")
     if args.genus is not None:
         fn = riemannroch.FanoNumerics(args.dim, args.index, riemannroch.genus_degree(genus=args.genus))
     else:
@@ -79,17 +74,12 @@ def _cmd_rr(args, out) -> int:
 # --- blowup ---------------------------------------------------------------
 
 def _cmd_blowup(args, out) -> int:
-    if (args.curve is None) == (not args.point):
-        raise SystemExit2("give exactly one of --point / --curve DEG,GENUS")
     c = Fraction(args.antik_cube)
     if args.point:
         form = blowup.blowup_point(c)
         center = {"kind": "point"}
     else:
-        try:
-            deg, genus = (int(x) for x in args.curve.split(","))
-        except ValueError:
-            raise SystemExit2(f"--curve expects DEG,GENUS with integers, got {args.curve!r}") from None
+        deg, genus = args.curve
         form = blowup.blowup_curve(c, blowup.CurveCenter(deg, genus))
         center = {"kind": "curve", "deg_antik": deg, "genus": genus}
     names = ["(-K)^3", "(-K)^2.E", "(-K).E^2", "E^3"]
@@ -113,7 +103,7 @@ def parse_mf_class(text: str) -> DivisorClass:
     while pos < len(cleaned):
         match = _CLASS_TERM.match(cleaned, pos)
         if match is None:
-            raise SystemExit2(f"cannot parse divisor class {text!r}")
+            raise ValueError(f"cannot parse divisor class {text!r}")
         coeff_txt = match.group(1)
         if coeff_txt in ("", "+"):
             coeff = Fraction(1)
@@ -127,11 +117,16 @@ def parse_mf_class(text: str) -> DivisorClass:
             f += coeff
         pos = match.end()
     if not cleaned:
-        raise SystemExit2("empty divisor class")
+        raise ValueError("empty divisor class")
     return cls2(Basis.MF, m, f)
 
 
 def _cmd_scroll(args, out) -> int:
+    if (args.weights is None) == (args.hyperelliptic is None and args.trigonal is None):
+        raise ValueError(
+            "--weights is required with --h0/--canonical/--intersect and not allowed"
+            " with --hyperelliptic/--trigonal"
+        )
     if args.hyperelliptic is not None:
         cands = scrolls.mark_realized(
             scrolls.hyperelliptic_candidates(args.hyperelliptic),
@@ -162,9 +157,7 @@ def _cmd_scroll(args, out) -> int:
         )
         _emit(out, rows, args.json, table)
         return 0
-    if not args.weights:
-        raise SystemExit2("--weights is required outside --hyperelliptic/--trigonal")
-    s = scrolls.ScrollData(tuple(int(d) for d in args.weights.split(",")))
+    s = scrolls.ScrollData(args.weights)
     if args.h0:
         value = scrolls.scroll_h0(s)
         _emit(out, {"splitting": list(s.splitting), "h0": value}, args.json, str(value))
@@ -176,19 +169,16 @@ def _cmd_scroll(args, out) -> int:
             args.json,
             f"K = {_frac_str(k.coords[0])} M + {_frac_str(k.coords[1])} F",
         )
-    elif args.intersect:
-        classes = [parse_mf_class(c) for c in args.intersect.split(",")]
-        value = scrolls.scroll_intersection(s, classes)
-        _emit(out, {"splitting": list(s.splitting), "value": value}, args.json, _frac_str(value))
     else:
-        raise SystemExit2("give one of --h0 / --canonical / --intersect / --hyperelliptic / --trigonal")
+        value = scrolls.scroll_intersection(s, args.intersect)
+        _emit(out, {"splitting": list(s.splitting), "value": value}, args.json, _frac_str(value))
     return 0
 
 
 # --- wps ------------------------------------------------------------------
 
 def _cmd_wps(args, out) -> int:
-    w = wps.WeightSystem(tuple(int(x) for x in args.weights.split(",")))
+    w = wps.WeightSystem(args.weights)
     normalized = wps.normalize(w)
     payload: dict[str, Any] = {
         "weights": list(w.weights),
@@ -203,7 +193,7 @@ def _cmd_wps(args, out) -> int:
         f"pic index    {payload['pic_index']}",
     ]
     if args.degrees:
-        spec = wps.CompleteIntersectionSpec(normalized, tuple(int(x) for x in args.degrees.split(",")))
+        spec = wps.CompleteIntersectionSpec(normalized, args.degrees)
         inv = wps.ci_fano_invariants(spec)
         payload.update(
             degrees=list(spec.degrees),
@@ -265,25 +255,8 @@ def _candidate_row(c: sarkisov.LinkCandidate) -> str:
     )
 
 
-def _parse_genus_range(text: str) -> range:
-    usage = SystemExit2(f"--genus-range expects A..B with integers A <= B, got {text!r}")
-    lo, _, hi = text.partition("..")
-    try:
-        first, last = int(lo), int(hi)
-    except ValueError:
-        raise usage from None
-    if first > last:
-        raise usage
-    return range(first, last + 1)
-
-
 def _cmd_link(args, out) -> int:
-    if (args.genus is None) == (args.genus_range is None):
-        raise SystemExit2("give exactly one of --genus / --genus-range A..B")
-    if args.genus is not None:
-        genera = [args.genus]
-    else:
-        genera = _parse_genus_range(args.genus_range)
+    genera = [args.genus] if args.genus is not None else args.genus_range
     cands = sarkisov.enumerate_links(args.center, genera)
     if not args.show_excluded:
         cands = [c for c in cands if c.confirmed]
@@ -296,8 +269,6 @@ def _cmd_link(args, out) -> int:
 # --- rho2 -----------------------------------------------------------------
 
 def _cmd_rho2(args, out) -> int:
-    if args.action != "enumerate-primitive":
-        raise SystemExit2("the only action is enumerate-primitive")
     sols = sarkisov.rho2_primitive_enumerate()
     payload = [
         {
@@ -342,85 +313,130 @@ def _cmd_catalog(args, out) -> int:
         _emit(out, payload, args.json, table or "(no entries)")
         return 0
     if args.action == "facts":
-        if not args.subject:
-            raise SystemExit2("catalog facts needs a subject id")
         facts = cat.facts_for(args.subject)
         payload = [dataclasses.asdict(f) for f in facts]
         table = "\n".join(f"{f.predicate:12s} {f.value}" for f in facts) or "(no facts)"
         _emit(out, payload, args.json, table)
         return 0
-    if args.action == "verify":
-        if args.id:
-            results = catalog.verify(cat.by_id(args.id), cat)
-        else:
-            results = catalog.verify_all(cat)
-        failures = [r for r in results if not r.passed]
-        payload = {
-            "checks": len(results),
-            "failures": [dataclasses.asdict(r) for r in failures],
-        }
-        lines = [f"{len(results)} checks, {len(failures)} failures"]
-        lines += [f"FAIL {r.entry_id} {r.check}: {r.lhs} != {r.rhs}" for r in failures]
-        _emit(out, payload, args.json, "\n".join(lines))
-        return 3 if failures else 0
-    raise SystemExit2(f"unknown catalog action {args.action!r}")
+    # verify
+    if args.id is not None:
+        results = catalog.verify(cat.by_id(args.id), cat)
+    else:
+        results = catalog.verify_all(cat)
+    failures = [r for r in results if not r.passed]
+    payload = {
+        "checks": len(results),
+        "failures": [dataclasses.asdict(r) for r in failures],
+    }
+    lines = [f"{len(results)} checks, {len(failures)} failures"]
+    lines += [f"FAIL {r.entry_id} {r.check}: {r.lhs} != {r.rhs}" for r in failures]
+    _emit(out, payload, args.json, "\n".join(lines))
+    return 3 if failures else 0
 
 
 # --- driver ---------------------------------------------------------------
 
+def _parsed(form: str, parse):
+    """An argparse type= that applies parse and, on ValueError, names the
+    expected form."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects {form}, got {text!r}") from None
+
+    return convert
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
+def _curve(text: str) -> tuple[int, int]:
+    deg, genus = _ints(text)
+    return deg, genus
+
+
+def _classes(text: str) -> list[DivisorClass]:
+    return [parse_mf_class(c) for c in text.split(",")]
+
+
+def _genus_range(text: str) -> range:
+    lo, _, hi = text.partition("..")
+    first, last = int(lo), int(hi)
+    if first > last:
+        raise ValueError("empty range")
+    return range(first, last + 1)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI grammar.  Building it costs more than most commands, so it is
+    built once per process and shared: callers parse with it and change
+    nothing."""
     p = argparse.ArgumentParser(prog="fano3", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    ints = _parsed("comma-separated integers like 2,1,1", _ints)
 
-    rr = sub.add_parser("rr", help="Hilbert polynomial / section counts")
+    def command(parent, name: str, text: str) -> argparse.ArgumentParser:
+        parser = parent.add_parser(name, help=text)
+        parser.add_argument("--json", action="store_true", help="canonical JSON instead of a table")
+        return parser
+
+    rr = command(sub, "rr", "Hilbert polynomial / section counts")
     rr.add_argument("--dim", type=int, required=True)
     rr.add_argument("--index", type=int, required=True)
-    rr.add_argument("--degree", type=int)
-    rr.add_argument("--genus", type=int)
+    size = rr.add_mutually_exclusive_group(required=True)
+    size.add_argument("--degree", type=int)
+    size.add_argument("--genus", type=int)
     rr.add_argument("--t", type=int, default=1)
-    rr.add_argument("--json", action="store_true")
 
-    bl = sub.add_parser("blowup", help="intersection form of a blowup")
+    bl = command(sub, "blowup", "intersection form of a blowup")
     bl.add_argument("--antik-cube", type=int, required=True)
-    bl.add_argument("--point", action="store_true")
-    bl.add_argument("--curve", help="DEG,GENUS with DEG = (-K).Z")
-    bl.add_argument("--json", action="store_true")
+    center = bl.add_mutually_exclusive_group(required=True)
+    center.add_argument("--point", action="store_true")
+    center.add_argument("--curve", type=_parsed("DEG,GENUS with integers", _curve),
+                        help="DEG,GENUS with DEG = (-K).Z")
 
-    sc = sub.add_parser("scroll", help="scroll intersection calculus")
-    sc.add_argument("--weights", help="splitting degrees d1,d2,...")
-    sc.add_argument("--h0", action="store_true")
-    sc.add_argument("--canonical", action="store_true")
-    sc.add_argument("--intersect", help="comma list of classes like 3M-4F,M-F,...")
-    sc.add_argument("--hyperelliptic", type=int, help="genus for the rank-3 case list")
-    sc.add_argument("--trigonal", type=int, help="genus for the rank-4 case list")
-    sc.add_argument("--json", action="store_true")
+    sc = command(sub, "scroll", "scroll intersection calculus")
+    sc.add_argument("--weights", type=ints, help="splitting degrees d1,d2,...")
+    mode = sc.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--h0", action="store_true")
+    mode.add_argument("--canonical", action="store_true")
+    mode.add_argument("--intersect", type=_parsed("classes like 3M-4F,M-F", _classes),
+                      help="comma list of classes like 3M-4F,M-F,...")
+    mode.add_argument("--hyperelliptic", type=int, help="genus for the rank-3 case list")
+    mode.add_argument("--trigonal", type=int, help="genus for the rank-4 case list")
 
-    wp = sub.add_parser("wps", help="weighted projective space arithmetic")
-    wp.add_argument("--weights", required=True)
-    wp.add_argument("--degrees")
-    wp.add_argument("--json", action="store_true")
+    wp = command(sub, "wps", "weighted projective space arithmetic")
+    wp.add_argument("--weights", type=ints, required=True)
+    wp.add_argument("--degrees", type=ints)
 
-    ln = sub.add_parser("link", help="two-ray link enumeration")
+    ln = command(sub, "link", "two-ray link enumeration")
     ln.add_argument("--center", choices=("line", "conic", "point"), required=True)
-    ln.add_argument("--genus", type=int)
-    ln.add_argument("--genus-range", help="A..B inclusive")
+    genera = ln.add_mutually_exclusive_group(required=True)
+    genera.add_argument("--genus", type=int)
+    genera.add_argument("--genus-range", type=_parsed("A..B with integers A <= B", _genus_range),
+                        help="A..B inclusive")
     ln.add_argument("--show-excluded", action="store_true")
-    ln.add_argument("--json", action="store_true")
 
-    r2 = sub.add_parser("rho2", help="Picard-number-2 enumeration")
+    r2 = command(sub, "rho2", "Picard-number-2 enumeration")
     r2.add_argument("action", choices=("enumerate-primitive",))
-    r2.add_argument("--json", action="store_true")
 
     ct = sub.add_parser("catalog", help="classification tables")
-    ct.add_argument("action", choices=("list", "verify", "facts"))
-    ct.add_argument("subject", nargs="?")
-    ct.add_argument("--all", action="store_true")
-    ct.add_argument("--id")
-    ct.add_argument("--rho", type=int)
-    ct.add_argument("--index", type=int)
-    ct.add_argument("--genus", type=int)
-    ct.add_argument("--flag")
-    ct.add_argument("--json", action="store_true")
+    actions = ct.add_subparsers(dest="action", required=True)
+    ls = command(actions, "list", "entries matching every filter given")
+    ls.add_argument("--rho", type=int)
+    ls.add_argument("--index", type=int)
+    ls.add_argument("--genus", type=int)
+    ls.add_argument("--flag")
+    facts = command(actions, "facts", "the facts recorded for one subject")
+    facts.add_argument("subject")
+    verify = command(actions, "verify", "run the identity checks")
+    which = verify.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="every entry (the default)")
+    which.add_argument("--id")
     return p
 
 
@@ -437,18 +453,16 @@ COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args, out)
-    except (SystemExit2, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:  # str() of a KeyError is the repr of its message
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+    except (ValueError, KeyError) as exc:
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"fano3 {args.command}: error: {message}", file=sys.stderr)
         return 2
 
 

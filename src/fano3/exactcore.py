@@ -98,14 +98,6 @@ class TrilinearForm:
     def rank(self) -> int:
         return 1 if len(self.values) == 1 else 2
 
-    def monomial(self, e2_count: int) -> Fraction:
-        """Value of e1^(3-k) * e2^k for rank 2, or H^n for rank 1."""
-        if self.rank == 1:
-            if e2_count != 0:
-                raise BasisError("rank-1 form has a single monomial")
-            return self.values[0]
-        return self.values[e2_count]
-
     @property
     def not_big(self) -> bool:
         """True when the leading self-intersection (e1^3 resp. H^n) is <= 0."""

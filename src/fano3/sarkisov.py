@@ -11,10 +11,11 @@ constraints are then vetted against the catalog fact store.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Sequence
 
+from fano3 import catalog
 from fano3.blowup import CurveCenter, PointCenter, blowup_curve, blowup_point
 from fano3.exactcore import TrilinearForm
 
@@ -122,21 +123,14 @@ def midpoint_form(center: Center, g: int) -> TrilinearForm:
     return blowup_point(c) if isinstance(data, PointCenter) else blowup_curve(c, data)
 
 
-def _effectivity_ok(center: Center, g: int, a: int, b: int, birational: bool) -> bool:
-    # b >= m*a (m = 1) whenever |-K - m*Ebar| is non-empty, strictly for
-    # birational contractions once that system moves.
-    if birational and g >= EFFECTIVITY_STRICT[center]:
-        return b > a
-    if g >= EFFECTIVITY_NONEMPTY[center]:
-        return b >= a
-    return True
-
-
 def _m_cap(center: Center, g: int, a: int, b: int, birational: bool) -> Optional[int]:
+    """The largest m with b >= m*a, which holds whenever |-K - m*Ebar| is
+    non-empty, strictly (b > m*a) for birational contractions once that
+    system moves; None below the genus where it is known non-empty.  A cap
+    of 0 fails effectivity (m = 1), so the caller rejects the trial."""
     if g < EFFECTIVITY_NONEMPTY[center]:
         return None
-    cap = (b - 1) // a if (birational and g >= EFFECTIVITY_STRICT[center]) else b // a
-    return cap if cap >= 1 else None
+    return (b - 1) // a if (birational and g >= EFFECTIVITY_STRICT[center]) else b // a
 
 
 def _fiber_candidates(
@@ -166,7 +160,8 @@ def _fiber_candidates(
                         continue
                     tag = "C1" if ddelta > 0 else "C2"
                     target = TargetInvariants("conic-bundle", discriminant_degree=ddelta)
-                if not _effectivity_ok(center, g, a, b, birational=False):
+                m_cap = _m_cap(center, g, a, b, birational=False)
+                if m_cap == 0:
                     continue
                 ebar = (k3 * a**3 - 3 * a * a * b * ke + 3 * a * b * b * kee) / Fraction(b**3)
                 if ebar.denominator != 1:
@@ -175,8 +170,7 @@ def _fiber_candidates(
                 if defect < 0:
                     continue
                 yield LinkCandidate(
-                    center, g, tag, (a, b), (a, b), target, ebar, defect,
-                    m_cap=_m_cap(center, g, a, b, birational=False),
+                    center, g, tag, (a, b), (a, b), target, ebar, defect, m_cap=m_cap
                 )
 
 
@@ -215,7 +209,8 @@ def _b1_candidates(
             two_gz = a_f * a_f * k3 - 2 * a_f * b_f * ke + b_f * b_f * kee  # 2g(Z) - 2
             if two_gz % 2 or two_gz < -2:
                 continue
-            if not _effectivity_ok(center, g, a_f, b_f, birational=True):
+            m_cap = _m_cap(center, g, a_f, b_f, birational=True)
+            if m_cap == 0:
                 continue
             # Mbar^3 = d(Y)
             ebar = Fraction(k3 * a_m**3 - 3 * a_m * a_m * ke + 3 * a_m * kee - d)
@@ -231,8 +226,7 @@ def _b1_candidates(
                 genus_z=two_gz // 2 + 1,
             )
             yield LinkCandidate(
-                center, g, "B1", (a_m, 1), (a_f, b_f), target, ebar, defect,
-                m_cap=_m_cap(center, g, a_f, b_f, birational=True),
+                center, g, "B1", (a_m, 1), (a_f, b_f), target, ebar, defect, m_cap=m_cap
             )
 
 
@@ -292,7 +286,8 @@ def _point_blowdown_candidates(
         if a_m.denominator != 1 or a_m < 1:
             continue
         a_m = int(a_m)
-        if not _effectivity_ok(center, g, a_f, b_f, birational=True):
+        m_cap = _m_cap(center, g, a_f, b_f, birational=True)
+        if m_cap == 0:
             continue
         ebar = (
             k3 * a_f**3
@@ -323,8 +318,7 @@ def _point_blowdown_candidates(
             singularity=POINT_SINGULARITY[tag],
         )
         yield LinkCandidate(
-            center, g, tag, (a_m, mu), (a_f, b_f), target, ebar, defect,
-            m_cap=_m_cap(center, g, a_f, b_f, birational=True),
+            center, g, tag, (a_m, mu), (a_f, b_f), target, ebar, defect, m_cap=m_cap
         )
 
 
@@ -371,7 +365,6 @@ def enumerate_links(
     g_range: Iterable[int],
     *,
     search_bound: int = 0,
-    facts: Optional["LinkFactStore"] = None,
 ) -> list[LinkCandidate]:
     """All numerically consistent second contractions for the given center and
     genera g >= 2, each confirmed or excluded by a named rule, in the order
@@ -387,7 +380,7 @@ def enumerate_links(
     if genera and genera[0] < 2:
         raise ValueError(f"genus must be >= 2, got {genera[0]}")
     candidates = [cand for g in genera for cand in _enumerate_cell(center, g, search_bound)]
-    return filter_links(candidates, facts)
+    return filter_links(candidates)
 
 
 def defect(candidate: LinkCandidate) -> Fraction:
@@ -413,51 +406,16 @@ def euler_propagate(
     return chi_y + contribution(center_on_y) - contribution(center_on_x)
 
 
-@dataclass(frozen=True)
-class GeometricRule:
-    center: str
-    fbar: tuple[int, int]
-    rule: str
+def filter_links(candidates: Sequence[LinkCandidate]) -> list[LinkCandidate]:
+    """Assign confirmed / excluded:<rule> to every candidate from the catalog's
+    link facts; nothing is dropped.  Rules fire in the order genus-bound,
+    rationality, geometric, euler; rationality needs the source known
+    rational and the target known irrational."""
+    facts = catalog.link_facts()
+    return [replace(cand, status=_status(cand, facts)) for cand in candidates]
 
 
-@dataclass(frozen=True)
-class LinkFactStore:
-    """Catalog-backed inputs for filter_links."""
-
-    known_genera: frozenset[int]
-    chi_by_subject: dict[str, int]
-    rational_subjects: frozenset[str]
-    irrational_subjects: frozenset[str]
-    geometric_rules: tuple[GeometricRule, ...] = field(default_factory=tuple)
-
-    def chi(self, subject: Optional[str]) -> Optional[int]:
-        if subject is None:
-            return None
-        return self.chi_by_subject.get(subject)
-
-
-def _default_facts() -> LinkFactStore:
-    from fano3 import catalog
-
-    return catalog.link_facts()
-
-
-def filter_links(
-    candidates: Sequence[LinkCandidate], facts: Optional[LinkFactStore] = None
-) -> list[LinkCandidate]:
-    """Assign confirmed / excluded:<rule> to every candidate; nothing is
-    dropped.  Rules fire in the order genus-bound, rationality, geometric,
-    euler; rationality needs the source known rational and the target known
-    irrational."""
-    if facts is None:
-        facts = _default_facts()
-    out = []
-    for cand in candidates:
-        out.append(replace(cand, status=_status(cand, facts)))
-    return out
-
-
-def _status(cand: LinkCandidate, facts: LinkFactStore) -> str:
+def _status(cand: LinkCandidate, facts: catalog.LinkFactStore) -> str:
     if cand.g not in facts.known_genera:
         return "excluded:genus-bound"
     source = f"fano-g{cand.g}"
