@@ -75,8 +75,3 @@ def blowup_point(antik_cube: Rat) -> TrilinearForm:
     if c <= 0:
         raise ValueError("antik_cube must be positive")
     return form2(Basis.KE, c - 8, 4, -2, 1)
-
-
-def anticanonical_cube_after_curve(antik_cube: Rat, center: CurveCenter) -> Fraction:
-    """(-K_tilde)^3 = (-K)^3 - 2 (-K).Z + 2 g(Z) - 2."""
-    return blowup_curve(antik_cube, center).values[0]

@@ -51,9 +51,21 @@ def _frac_str(x: Fraction) -> str:
 
 # --- rr -------------------------------------------------------------------
 
+# hilbert_polynomial costs about dim^2 exact operations (0.1 s at dim 100),
+# and chi(t) grows like t^dim
+RR_MAX_DIM = 100
+RR_MAX_T = 10**6
+
+
 def _cmd_rr(args, out) -> int:
+    if args.dim > RR_MAX_DIM:
+        raise ValueError(f"--dim must be at most {RR_MAX_DIM}, got {args.dim}")
+    if abs(args.t) > RR_MAX_T:
+        raise ValueError(f"--t must lie in -{RR_MAX_T}..{RR_MAX_T}")
     if args.genus is not None:
-        fn = riemannroch.FanoNumerics(args.dim, args.index, riemannroch.genus_degree(genus=args.genus))
+        if args.index != args.dim - 2:
+            raise ValueError(f"--genus needs --index = --dim - 2 (coindex 3), got --index {args.index}")
+        fn = riemannroch.FanoNumerics.from_genus(args.dim, args.genus)
     else:
         fn = riemannroch.FanoNumerics(args.dim, args.index, Fraction(args.degree))
     chi = riemannroch.hilbert_polynomial(fn)

@@ -108,10 +108,6 @@ def form2(basis: Basis, c30: Rat, c21: Rat, c12: Rat, c03: Rat) -> TrilinearForm
     return TrilinearForm(basis, (Fraction(c30), Fraction(c21), Fraction(c12), Fraction(c03)))
 
 
-def form1(h_power: Rat, dim: int = 3, basis: Basis = Basis.H_ONLY) -> TrilinearForm:
-    return TrilinearForm(basis, (Fraction(h_power),), dim=dim)
-
-
 def eval_form(
     form: TrilinearForm,
     d1: DivisorClass,

@@ -27,13 +27,19 @@ CENTER_DATA: dict[str, CurveCenter | PointCenter] = {
     "point": PointCenter(),
 }
 
-# length mu, discrepancy alpha (birational only) and the pairing constant k
-# of the point-blowdown types.
+# length mu and discrepancy alpha (birational only) of each type
 MU = {"C1": 1, "C2": 2, "D1": 1, "D2": 2, "D3": 3, "B1": 1, "B2": 2, "B3/B4": 1, "B5": 1}
 ALPHA = {"B1": Fraction(1), "B2": Fraction(2), "B3/B4": Fraction(1), "B5": Fraction(1, 2)}
-TAG_BY_K = {4: "B2", 2: "B3/B4", 1: "B5"}
-# degree (-K)^2.F of the fiber F of each del Pezzo fibration type
-DP_DEGREES = {"D1": range(1, 7), "D2": (8,), "D3": (9,)}
+# The type of the second ray spanned by D, read from q2 = (-K).D^2 and then
+# lin = (-K)^2.D (Mori-Mukai): a del Pezzo fibration has q2 = 0 and lin the
+# degree of its fiber, a conic bundle q2 = 2 and lin = 12 minus the degree of
+# its discriminant (none or 3..11), a point blowdown q2 = -2 and lin the
+# pairing constant k.  The curve blowdown B1 is read from its target instead.
+RAY_TYPE: dict[int, dict[int, str]] = {
+    0: {**dict.fromkeys(range(1, 7), "D1"), 8: "D2", 9: "D3"},
+    2: {12: "C2", **{12 - delta: "C1" for delta in range(3, 12)}},
+    -2: {4: "B2", 2: "B3/B4", 1: "B5"},
+}
 # degree d(Y) a B1 target of index iota >= 2 may have: P^3, the quadric and the
 # del Pezzo threefolds; index 1 admits every even d >= 2.
 B1_DEGREES = {4: (1,), 3: (2,), 2: range(1, 6)}
@@ -133,45 +139,81 @@ def _m_cap(center: Center, g: int, a: int, b: int, birational: bool) -> Optional
     return (b - 1) // a if (birational and g >= EFFECTIVITY_STRICT[center]) else b // a
 
 
-def _fiber_candidates(
+def _ray_cube(q2: int, lin: int) -> Fraction:
+    """D^3 of a ray class of type RAY_TYPE[q2][lin]: 0 for the fibrations,
+    4/k for a point blowdown."""
+    return Fraction(4, lin) if q2 < 0 else Fraction(0)
+
+
+def _ray_candidates(
     center: Center, g: int, vals: tuple[int, ...], bound: int
 ) -> Iterable[LinkCandidate]:
+    """The fiber, conic-bundle and point-blowdown links: Fbar = a(-K) - bE
+    spans the second ray, whose type RAY_TYPE reads from Fbar."""
     k3, ke, kee, e3 = vals
-    for kind, mus, q2_target in (("D", (1, 2, 3), 0), ("C", (1, 2), 2)):
-        for mu in mus:
-            b = mu
-            trials = range(1, bound + 1) if bound else _fiber_trials(vals, b, q2_target)
-            for a in trials:
-                if k3 * a * a - 2 * a * b * ke + b * b * kee != q2_target:
-                    continue
-                lin = k3 * a - ke * b
-                if kind == "D":
-                    tag = f"D{mu}"
-                    if lin not in DP_DEGREES[tag]:
-                        continue
-                    target = TargetInvariants("del-pezzo-fibration", fiber_degree=lin)
-                else:
-                    ddelta = 12 - lin
-                    if not 0 <= ddelta <= 11:
-                        continue
-                    if mu == 1 and ddelta < 3:
-                        continue
-                    if mu == 2 and ddelta != 0:
-                        continue
-                    tag = "C1" if ddelta > 0 else "C2"
-                    target = TargetInvariants("conic-bundle", discriminant_degree=ddelta)
-                m_cap = _m_cap(center, g, a, b, birational=False)
-                if m_cap == 0:
-                    continue
-                ebar = (k3 * a**3 - 3 * a * a * b * ke + 3 * a * b * b * kee) / Fraction(b**3)
-                if ebar.denominator != 1:
-                    continue
-                defect = e3 - ebar
-                if defect < 0:
-                    continue
-                yield LinkCandidate(
-                    center, g, tag, (a, b), (a, b), target, ebar, defect, m_cap=m_cap
-                )
+    for a, b in _ray_box(vals, bound) if bound else _ray_trials(vals):
+        q2 = k3 * a * a - 2 * a * b * ke + b * b * kee  # Fbar^2.(-K)
+        if q2 not in RAY_TYPE:
+            continue
+        lin = k3 * a - ke * b  # Fbar.(-K)^2
+        tag = RAY_TYPE[q2].get(lin)
+        if tag is None:
+            continue
+        cube = _ray_cube(q2, lin)
+        if q2 < 0:
+            # Fbar is the exceptional divisor over a point of Y, k = lin, and
+            # -K_Y pulls back to -K + alpha*Fbar
+            alpha, mu = ALPHA[tag], MU[tag]
+            iota = b * alpha / mu
+            a_m = (alpha * a + 1) / iota
+            anti_y = k3 + 3 * alpha * lin + 3 * alpha * alpha * q2 + alpha**3 * cube
+            if iota.denominator != 1 or not 1 <= iota <= 4 or a_m.denominator != 1:
+                continue
+            if anti_y <= 0 or anti_y.denominator != 1:
+                continue
+            iota, anti_y = int(iota), int(anti_y)
+            mbar = (int(a_m), mu)
+            target = TargetInvariants(
+                "fano-point-blowdown",
+                k=lin,
+                iota_y=iota,
+                antik_cube_y=anti_y,
+                genus_y=anti_y // 2 + 1 if iota == 1 and anti_y % 2 == 0 else None,
+                singularity=POINT_SINGULARITY[tag],
+            )
+        elif b != MU[tag]:
+            continue
+        else:
+            mbar = (a, b)
+            if q2 == 0:
+                target = TargetInvariants("del-pezzo-fibration", fiber_degree=lin)
+            else:
+                target = TargetInvariants("conic-bundle", discriminant_degree=12 - lin)
+        m_cap = _m_cap(center, g, a, b, birational=q2 < 0)
+        if m_cap == 0:
+            continue
+        ebar = (k3 * a**3 - 3 * a * a * b * ke + 3 * a * b * b * kee - cube) / b**3
+        if ebar.denominator != 1:
+            continue
+        defect = e3 - ebar
+        if defect < 0:
+            continue
+        yield LinkCandidate(center, g, tag, mbar, (a, b), target, ebar, defect, m_cap=m_cap)
+
+
+def _ray_trials(vals: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Every (a, b) that can pass the checks in _ray_candidates."""
+    # (b, q2) = (MU, (-K).Fbar^2) of D1, D2, D3, C1 and C2
+    fibers = ((1, 0), (2, 0), (3, 0), (1, 2), (2, 2))
+    trials = [(a, b) for b, q2 in fibers for a in _fiber_trials(vals, b, q2)]
+    return trials + list(_point_blowdown_trials(vals))
+
+
+def _ray_box(vals: tuple[int, ...], bound: int) -> list[tuple[int, int]]:
+    """The brute-force oracle for _ray_trials: every a in 1..bound with
+    b = 1..3, and the points of _point_blowdown_box with b > 3."""
+    box = [(a, b) for b in (1, 2, 3) for a in range(1, bound + 1)]
+    return box + [(a, b) for a, b in _point_blowdown_box(vals, bound) if b > 3]
 
 
 def _fiber_trials(vals: tuple[int, ...], b: int, q2: int) -> list[int]:
@@ -179,7 +221,7 @@ def _fiber_trials(vals: tuple[int, ...], b: int, q2: int) -> list[int]:
     k3, ke, kee, _ = vals
     # with b fixed, Mbar^2.(-K) = q2 is a quadratic in a with leading
     # coefficient k3 > 0: its positive integer roots are the only a that pass
-    # the first check in _fiber_candidates
+    # the q2 check in _ray_candidates
     return _integer_roots(k3, -2 * b * ke, b * b * kee - q2)
 
 
@@ -265,63 +307,6 @@ def _integer_roots(aa: int, bb: int, cc: int) -> list[int]:
     return sorted(out)
 
 
-def _point_blowdown_candidates(
-    center: Center, g: int, vals: tuple[int, ...], bound: int
-) -> Iterable[LinkCandidate]:
-    k3, ke, kee, e3 = vals
-    trials = _point_blowdown_box(vals, bound) if bound else _point_blowdown_trials(vals)
-    for a_f, b_f in trials:
-        if k3 * a_f * a_f - 2 * a_f * b_f * ke + b_f * b_f * kee != -2:  # Fbar^2.(-K)
-            continue
-        kk = k3 * a_f - ke * b_f
-        if kk not in TAG_BY_K:
-            continue
-        tag = TAG_BY_K[kk]
-        alpha, mu = ALPHA[tag], MU[tag]
-        iota = Fraction(b_f) * alpha / mu
-        if iota.denominator != 1 or not 1 <= iota <= 4:
-            continue
-        iota = int(iota)
-        a_m = (alpha * a_f + 1) / iota
-        if a_m.denominator != 1 or a_m < 1:
-            continue
-        a_m = int(a_m)
-        m_cap = _m_cap(center, g, a_f, b_f, birational=True)
-        if m_cap == 0:
-            continue
-        ebar = (
-            k3 * a_f**3
-            - 3 * a_f * a_f * b_f * ke
-            + 3 * a_f * b_f * b_f * kee
-            - Fraction(4, kk)
-        ) / Fraction(b_f**3)
-        if ebar.denominator != 1:
-            continue
-        defect = e3 - ebar
-        if defect < 0:
-            continue
-        anti_y = (
-            k3
-            + 3 * alpha * kk
-            + 3 * alpha * alpha * (-2)
-            + alpha**3 * Fraction(4, kk)
-        )
-        if anti_y <= 0 or anti_y.denominator != 1:
-            continue
-        anti_y = int(anti_y)
-        target = TargetInvariants(
-            "fano-point-blowdown",
-            k=kk,
-            iota_y=iota,
-            antik_cube_y=anti_y,
-            genus_y=anti_y // 2 + 1 if iota == 1 and anti_y % 2 == 0 else None,
-            singularity=POINT_SINGULARITY[tag],
-        )
-        yield LinkCandidate(
-            center, g, tag, (a_m, mu), (a_f, b_f), target, ebar, defect, m_cap=m_cap
-        )
-
-
 def _point_blowdown_box(vals: tuple[int, ...], bound: int) -> Iterable[tuple[int, int]]:
     k3, ke, kee, _ = vals
     for a_f in range(1, bound + 1):
@@ -334,8 +319,8 @@ def _point_blowdown_box(vals: tuple[int, ...], bound: int) -> Iterable[tuple[int
 def _point_blowdown_trials(vals: tuple[int, ...]) -> Iterable[tuple[int, int]]:
     """Every (a_f, b_f) that can pass the point-blowdown checks."""
     k3, ke, kee, _ = vals
-    for k in TAG_BY_K:
-        # the checks admit only k3*a_f - ke*b_f = k in TAG_BY_K; b_f from it
+    for k in RAY_TYPE[-2]:
+        # the checks admit only k3*a_f - ke*b_f = k in RAY_TYPE[-2]; b_f from it
         # substituted into Fbar^2.(-K) = -2 leaves a quadratic in a_f, whose
         # leading coefficient is nonzero as kee < 0 < k3
         for a_f in _integer_roots(
@@ -351,11 +336,7 @@ def _enumerate_cell(center: Center, g: int, bound: int) -> list[LinkCandidate]:
     vals = tuple(int(v) for v in midpoint_form(center, g).values)
     if vals[0] <= 0:
         return []
-    cands = [
-        *_fiber_candidates(center, g, vals, bound),
-        *_b1_candidates(center, g, vals, bound),
-        *_point_blowdown_candidates(center, g, vals, bound),
-    ]
+    cands = [*_ray_candidates(center, g, vals, bound), *_b1_candidates(center, g, vals, bound)]
     cands.sort(key=lambda c: (c.g, c.ctype, c.fbar))
     return cands
 
@@ -461,8 +442,8 @@ class Rho2Solution:
     antik_cube: int
 
 
-# D = a(-K) - bM; (-K).D^2 equals 0, 2, -2 per second-ray kind
-RHO2_SYSTEMS = (("D", 0), ("C", 2), ("B", -2))
+# D = a(-K) - bM; the values of (-K).D^2 in RAY_TYPE, one system each
+RHO2_SYSTEMS = (0, 2, -2)
 
 
 def rho2_primitive_enumerate(bound: int = 8) -> list[Rho2Solution]:
@@ -474,8 +455,8 @@ def rho2_primitive_enumerate(bound: int = 8) -> list[Rho2Solution]:
     for d in range(0, 12):
         if d in (1, 2):
             continue  # a non-empty discriminant curve has degree >= 3
-        for a, b, system in _rho2_trials(d, bound):
-            sol = _rho2_trial(d, a, b, system)
+        for a, b, q2 in _rho2_trials(d, bound):
+            sol = _rho2_trial(d, a, b, q2)
             if sol is not None:
                 sols.append(sol)
     sols.sort(key=lambda s: (s.antik_cube, RAY2_ORDER[s.ray2], s.d))
@@ -483,67 +464,53 @@ def rho2_primitive_enumerate(bound: int = 8) -> list[Rho2Solution]:
 
 
 def _rho2_trials(d: int, bound: int) -> list[tuple[Fraction, Fraction, int]]:
-    """Every (a, b, system) with a, b on the grid up to bound that can pass
-    _rho2_trial, in (a, b, system) order.  b runs over its grid, which the
-    caller's bound makes finite; a is solved from b."""
+    """Every (a, b, q2) with a, b on the grid up to bound that can pass
+    _rho2_trial, in (a, b) order, systems in RHO2_SYSTEMS order.  b runs over
+    its grid, which the caller's bound makes finite; a is solved from b."""
     # (a, b) = (i/s, j/s): the grid has step 1/2 on the C2 side, else step 1
     s = 2 if d == 0 else 1
     coef = 12 - d
     trials = []
     for j in range(1, bound * s + 1):
-        for system, (kind, rhs) in enumerate(RHO2_SYSTEMS):
-            if kind == "B":
+        for q2 in RHO2_SYSTEMS:
+            if q2 == -2:
                 # kk = k3*a - coef*b with k3*a^2 from (-K).D^2 = -2 gives
                 # a*(coef*b - kk) = 2 + 2b^2 for each admitted kk
-                quotients = [(2 * s * s + 2 * j * j, coef * j - k * s) for k in TAG_BY_K]
+                quotients = [(2 * s * s + 2 * j * j, coef * j - k * s) for k in RAY_TYPE[q2]]
             else:
-                # k3*a^2 from (-K).D^2 = rhs substituted into D^3 = 0 leaves
-                # rhs - coef*a*b + 4b^2 = 0
-                quotients = [(rhs * s * s + 4 * j * j, coef * j)]
+                # k3*a^2 from (-K).D^2 = q2 substituted into D^3 = 0 leaves
+                # q2 - coef*a*b + 4b^2 = 0
+                quotients = [(q2 * s * s + 4 * j * j, coef * j)]
             for num, den in quotients:  # i = num/den, where num > 0
                 if den > 0 and num % den == 0 and num // den <= bound * s:
-                    trials.append((num // den, j, system))
-    trials.sort()
-    return [(Fraction(i, s), Fraction(j, s), system) for i, j, system in trials]
+                    trials.append((num // den, j, q2))
+    trials.sort(key=lambda t: t[:2])
+    return [(Fraction(i, s), Fraction(j, s), q2) for i, j, q2 in trials]
 
 
-def _rho2_trial(d: int, a: Fraction, b: Fraction, system: int) -> Optional[Rho2Solution]:
-    """The solution at one grid point (a, b) of system RHO2_SYSTEMS[system]
-    for discriminant degree d, or None."""
-    kind, rhs = RHO2_SYSTEMS[system]
+def _rho2_trial(d: int, a: Fraction, b: Fraction, q2: int) -> Optional[Rho2Solution]:
+    """The solution at one grid point (a, b) with (-K).D^2 = q2 for
+    discriminant degree d, or None."""
     coef = 12 - d
-    k3 = (rhs + 2 * coef * a * b - 2 * b * b) / (a * a)
+    k3 = (q2 + 2 * coef * a * b - 2 * b * b) / (a * a)
     if k3 < 2 or k3.denominator != 1 or int(k3) % 2:
         return None
     k3 = int(k3)
-    lin = k3 * a - coef * b  # (-K)^2.D: d' of a D-ray, 12 - d' of a C-ray, k of a B-ray
-    if lin.denominator != 1:
+    lin = k3 * a - coef * b  # (-K)^2.D
+    if lin.denominator != 1 or int(lin) not in RAY_TYPE[q2]:
         return None
     lin = int(lin)
-    ray1 = "C2" if d == 0 else "C1"
-    g = k3 // 2 + 1
-    if kind == "B":
-        # blowup of a point, D the exceptional divisor
-        if lin not in TAG_BY_K:
-            return None
-        if k3 * a**3 - 3 * coef * a * a * b + 6 * a * b * b != Fraction(4, lin):  # D^3 = 4/k
-            return None
-        return Rho2Solution(ray1, TAG_BY_K[lin], d, None, lin, g, a, b, k3)
-    if k3 * a * a - 3 * coef * a * b + 6 * b * b != 0:  # D^3 = 0
+    if k3 * a**3 - 3 * coef * a * a * b + 6 * a * b * b != _ray_cube(q2, lin):  # D^3
         return None
-    if kind == "C":
-        dprime = 12 - lin
-        if not (dprime == 0 or 3 <= dprime <= 11):
-            return None
-        if d < dprime:
+    ray1, ray2, g = RAY_TYPE[2][12 - d], RAY_TYPE[q2][lin], k3 // 2 + 1
+    if q2 < 0:  # blowup of a point, D the exceptional divisor
+        return Rho2Solution(ray1, ray2, d, None, lin, g, a, b, k3)
+    if q2 > 0:
+        if d < 12 - lin:
             return None  # symmetric pair already listed from the other side
-        ray2 = "C1" if dprime > 0 else "C2"
-        return Rho2Solution(ray1, ray2, d, dprime, None, g, a, b, k3)
+        return Rho2Solution(ray1, ray2, d, 12 - lin, None, g, a, b, k3)
     # D is primitive iff gcd(i, j) = 1 for (a, b) = (i/s, j/s) on the grid
     s = 2 if d == 0 else 1
     if math.gcd(int(a * s), int(b * s)) != 1:
         return None
-    for ray2, degrees in DP_DEGREES.items():
-        if lin in degrees:
-            return Rho2Solution(ray1, ray2, d, lin, None, g, a, b, k3)
-    return None
+    return Rho2Solution(ray1, ray2, d, lin, None, g, a, b, k3)

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from fano3.riemannroch import FanoNumerics
-
 
 class NotFano(ValueError):
     """sum(degrees) >= sum(weights): the complete intersection is not Fano."""
@@ -115,10 +113,6 @@ class CiInvariants:
     def antik_power(self) -> Fraction:
         """(-K)^dim."""
         return self.fundamental_degree * self.index**self.dim
-
-    def numerics(self) -> FanoNumerics:
-        """Validated invariants; raises when no smooth Fano has these numbers."""
-        return FanoNumerics(self.dim, self.index, self.fundamental_degree)
 
 
 def ci_fano_invariants(spec: CompleteIntersectionSpec) -> CiInvariants:

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from fano3.blowup import (
     CurveCenter,
-    anticanonical_cube_after_curve,
     blowup_curve,
     blowup_point,
     pullback_form_curve,
@@ -76,9 +75,9 @@ def test_point_blowup(cube, expected, not_big):
 
 def test_anticanonical_cube_formulas():
     for g in range(2, 15):
-        assert anticanonical_cube_after_curve(2 * g - 2, CurveCenter(1, 0)) == 2 * g - 6
-        assert anticanonical_cube_after_curve(2 * g - 2, CurveCenter(2, 0)) == 2 * g - 8
-    assert anticanonical_cube_after_curve(8, CurveCenter(2, 1)) == 4
+        assert blowup_curve(2 * g - 2, CurveCenter(1, 0)).values[0] == 2 * g - 6
+        assert blowup_curve(2 * g - 2, CurveCenter(2, 0)).values[0] == 2 * g - 8
+    assert blowup_curve(8, CurveCenter(2, 1)).values[0] == 4
 
 
 @settings(max_examples=200)

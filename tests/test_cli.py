@@ -124,6 +124,10 @@ def test_repeated_runs_are_byte_identical():
         (["catalog", "facts", "v3", "--rho", "2"], "unrecognized arguments: --rho 2"),
         (["scroll", "--weights", "2,x", "--h0"], "--weights: expects comma-separated integers like 2,1,1"),
         (["wps", "--weights", "1,x"], "--weights: expects comma-separated integers like 2,1,1"),
+        (["rr", "--dim", "3", "--index", "2", "--genus", "5"], "--genus needs --index = --dim - 2 (coindex 3)"),
+        (["rr", "--dim", "101", "--index", "100", "--degree", "2"], "--dim must be at most 100, got 101"),
+        (["rr", "--dim", "3", "--index", "1", "--degree", "4", "--t", "9" * 4001],
+         "--t must lie in -1000000..1000000"),
     ],
 )
 def test_invalid_input_exits_two_with_message(argv, message, capsys):

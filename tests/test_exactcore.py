@@ -11,7 +11,6 @@ from fano3.exactcore import (
     change_basis,
     cls2,
     eval_form,
-    form1,
     form2,
 )
 
@@ -68,9 +67,9 @@ def test_basis_mismatch_raises():
 
 
 def test_rank1_form():
-    from fano3.exactcore import DivisorClass
+    from fano3.exactcore import DivisorClass, TrilinearForm
 
-    f = form1(5, dim=3)
+    f = TrilinearForm(Basis.H_ONLY, (5,), dim=3)
     h = DivisorClass(Basis.H_ONLY, (Fraction(2),))
     assert eval_form(f, h, h, h) == 40
 

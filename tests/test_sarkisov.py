@@ -7,14 +7,15 @@ from fano3.blowup import CurveCenter, PointCenter
 from fano3.exactcore import Basis, cls2, eval_form, form2
 from fano3.sarkisov import (
     RAY2_ORDER,
+    RAY_TYPE,
     RHO2_SYSTEMS,
-    TAG_BY_K,
     InconsistentCandidate,
     LinkCandidate,
     TargetInvariants,
     _fiber_trials,
     _point_blowdown_box,
     _point_blowdown_trials,
+    _ray_cube,
     _rho2_trial,
     defect,
     enumerate_links,
@@ -39,6 +40,30 @@ def by_key(cands):
 def test_midpoint_form_flop_invariant_values(center, g, expected):
     form = midpoint_form(center, g)
     assert tuple(form.values[:3]) == expected
+
+
+# --- the second-ray table ---------------------------------------------------
+
+# Mori-Mukai: ((-K).D^2, (-K)^2.D) -> the type of the ray D spans
+MORI_MUKAI_TYPES = {
+    **{(0, degree): "D1" for degree in (1, 2, 3, 4, 5, 6)},  # fiber degree
+    (0, 8): "D2",
+    (0, 9): "D3",
+    (2, 12): "C2",  # 12 minus the discriminant degree
+    **{(2, 12 - delta): "C1" for delta in (3, 4, 5, 6, 7, 8, 9, 10, 11)},
+    (-2, 4): "B2",  # the pairing constant k
+    (-2, 2): "B3/B4",
+    (-2, 1): "B5",
+}
+
+
+def test_ray_type_table_is_mori_mukai():
+    for q2 in range(-3, 4):
+        for lin in range(-2, 15):
+            expected = MORI_MUKAI_TYPES.get((q2, lin))
+            assert RAY_TYPE.get(q2, {}).get(lin) == expected, (q2, lin)
+            if expected is not None:  # D^3 = 0 for a fibration, 4/k for a point blowdown
+                assert _ray_cube(q2, lin) == (Fraction(4, lin) if q2 == -2 else 0)
 
 
 # --- the three case lists, frozen from the enumeration -------------------
@@ -227,7 +252,7 @@ def test_solved_trials_cover_every_box_point():
     # no index-1 source realizes, which the enumeration oracle cannot see
     box = 60
     fiber_hits = dict.fromkeys([("D", 1), ("D", 2), ("D", 3), ("C", 1), ("C", 2)], 0)
-    k_hits = dict.fromkeys(TAG_BY_K, 0)
+    k_hits = dict.fromkeys(RAY_TYPE[-2], 0)
     for k3 in range(1, 41):
         for ke in (*range(-6, 0), *range(1, 7)):
             for kee in range(-6, 0):
@@ -304,8 +329,8 @@ def _rho2_grid_scan(bound):
         grid = [step * i for i in range(1, int(bound / step) + 1)]
         for a in grid:
             for b in grid:
-                for system in range(len(RHO2_SYSTEMS)):
-                    sol = _rho2_trial(d, a, b, system)
+                for q2 in RHO2_SYSTEMS:
+                    sol = _rho2_trial(d, a, b, q2)
                     if sol is not None:
                         sols.append(sol)
     sols.sort(key=lambda s: (s.antik_cube, RAY2_ORDER[s.ray2], s.d))
