@@ -18,8 +18,6 @@ from typing import Any, Optional
 from fano3.blowup import CurveCenter, blowup_curve
 from fano3.riemannroch import FanoNumerics, hilbert_polynomial
 
-IOTA_BY_TARGET = {"p3": 4, "quadric": 3, "v1": 2, "v2": 2, "v3": 2, "v4": 2, "v5": 2}
-
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -183,8 +181,7 @@ def verify(entry: CatalogEntry, cat: Optional[Catalog] = None) -> list[CheckResu
     if entry.construction and "blowups" in entry.construction and cat is not None:
         for i, bl in enumerate(entry.construction["blowups"]):
             target = cat.by_id(bl["of"])
-            iy = IOTA_BY_TARGET[bl["of"]]
-            center = CurveCenter(iy * bl["deg"], bl["genus"])
+            center = CurveCenter(target.index * bl["deg"], bl["genus"])
             predicted = blowup_curve(target.antik_cube, center).values[0]
             add(f"blowdown-consistency-{i}", predicted, Fraction(entry.antik_cube))
     return checks

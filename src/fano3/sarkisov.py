@@ -6,6 +6,10 @@ values ((-K)^3, (-K)^2.E, (-K).E^2) and the unknown Ebar^3 on the far side.
 Every contraction type imposes two flop-invariant equations plus one that
 solves Ebar^3; candidates surviving all integrality and positivity
 constraints are then vetted against the catalog fact store.
+
+The trials are solved, not searched: each entry of RAY_TYPE gives at most
+one fiber, conic-bundle or point-blowdown trial through the identity in
+_ray_trials, and B1 trials come from a quadratic per admitted target degree.
 """
 
 from __future__ import annotations
@@ -202,11 +206,27 @@ def _ray_candidates(
 
 
 def _ray_trials(vals: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Every (a, b) that can pass the checks in _ray_candidates."""
-    # (b, q2) = (MU, (-K).Fbar^2) of D1, D2, D3, C1 and C2
-    fibers = ((1, 0), (2, 0), (3, 0), (1, 2), (2, 2))
-    trials = [(a, b) for b, q2 in fibers for a in _fiber_trials(vals, b, q2)]
-    return trials + list(_point_blowdown_trials(vals))
+    """Every (a, b) that can pass the checks in _ray_candidates, at most one
+    per entry (q2, lin) of RAY_TYPE."""
+    k3, ke, kee, _ = vals
+    # lin = k3*a - ke*b and q2 = k3*a^2 - 2ab*ke + b^2*kee give
+    # lin^2 - k3*q2 = b^2*(ke^2 - k3*kee): each entry fixes b >= 1, then
+    # a = (lin + ke*b)/k3.  This needs den > 0, which holds as kee < 0 < k3
+    # (kee = -2 on every center, and _enumerate_cell skips k3 <= 0).
+    den = ke * ke - k3 * kee
+    trials = []
+    for q2, lins in RAY_TYPE.items():
+        for lin in lins:
+            num = lin * lin - k3 * q2
+            if num < den or num % den:
+                continue
+            b = math.isqrt(num // den)
+            if b * b * den != num:
+                continue
+            a, rem = divmod(lin + ke * b, k3)
+            if rem == 0 and a > 0:
+                trials.append((a, b))
+    return trials
 
 
 def _ray_box(vals: tuple[int, ...], bound: int) -> list[tuple[int, int]]:
@@ -214,15 +234,6 @@ def _ray_box(vals: tuple[int, ...], bound: int) -> list[tuple[int, int]]:
     b = 1..3, and the points of _point_blowdown_box with b > 3."""
     box = [(a, b) for b in (1, 2, 3) for a in range(1, bound + 1)]
     return box + [(a, b) for a, b in _point_blowdown_box(vals, bound) if b > 3]
-
-
-def _fiber_trials(vals: tuple[int, ...], b: int, q2: int) -> list[int]:
-    """Every a that can pass the fiber-type checks for Mbar = a(-K) - bE."""
-    k3, ke, kee, _ = vals
-    # with b fixed, Mbar^2.(-K) = q2 is a quadratic in a with leading
-    # coefficient k3 > 0: its positive integer roots are the only a that pass
-    # the q2 check in _ray_candidates
-    return _integer_roots(k3, -2 * b * ke, b * b * kee - q2)
 
 
 def _b1_candidates(
@@ -313,21 +324,6 @@ def _point_blowdown_box(vals: tuple[int, ...], bound: int) -> Iterable[tuple[int
         # Fbar^2.(-K) = -2 solved for b_f
         for b_f in _integer_roots(kee, -2 * a_f * ke, k3 * a_f * a_f + 2):
             if b_f <= bound:
-                yield a_f, b_f
-
-
-def _point_blowdown_trials(vals: tuple[int, ...]) -> Iterable[tuple[int, int]]:
-    """Every (a_f, b_f) that can pass the point-blowdown checks."""
-    k3, ke, kee, _ = vals
-    for k in RAY_TYPE[-2]:
-        # the checks admit only k3*a_f - ke*b_f = k in RAY_TYPE[-2]; b_f from it
-        # substituted into Fbar^2.(-K) = -2 leaves a quadratic in a_f, whose
-        # leading coefficient is nonzero as kee < 0 < k3
-        for a_f in _integer_roots(
-            k3 * (kee * k3 - ke * ke), 2 * k * (ke * ke - kee * k3), kee * k * k + 2 * ke * ke
-        ):
-            b_f, rem = divmod(k3 * a_f - k, ke)
-            if rem == 0 and b_f > 0:
                 yield a_f, b_f
 
 

@@ -102,16 +102,13 @@ def test_quartic_deformation_dimension_oracle(cat):
 
 
 def test_blowdown_consistency_of_imprimitive_tables(cat):
-    iota = catalog.IOTA_BY_TARGET
     seen = 0
     for e in cat.entries:
         if not e.construction or "blowups" not in e.construction:
             continue
         for bl in e.construction["blowups"]:
             base = cat.by_id(bl["of"])
-            form = blowup_curve(
-                base.antik_cube, CurveCenter(iota[bl["of"]] * bl["deg"], bl["genus"])
-            )
+            form = blowup_curve(base.antik_cube, CurveCenter(base.index * bl["deg"], bl["genus"]))
             assert form.values[0] == e.antik_cube
             seen += 1
     assert seen >= 27

@@ -3,7 +3,7 @@ import json
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fano3.cli import dumps, main
@@ -164,6 +164,12 @@ _GROUPS = {
     ("catalog", "facts"): [],
     ("catalog", "nope"): [],
     ("catalog", "verify"): [{"--all": None, "--id": _CATALOG_ID}],
+    ("link",): [{"--center": st.sampled_from(["line", "conic", "point", "plane"])},
+                {"--genus": _num(-1, 60),
+                 "--genus-range": st.builds("{}..{}".format, _num(-1, 30), _num(-1, 60))},
+                {"--show-excluded": None}],
+    ("rho2", "enumerate-primitive"): [],
+    ("rho2", "nope"): [],
 }
 _JUNK = st.sampled_from(["", "x", "1,x", "7..3", "M,x", "2.5"])
 _RARELY = st.sampled_from([False] * 9 + [True])
@@ -195,10 +201,13 @@ def _argv(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=_argv())
+@example(argv=["link", "--center", "point", "--genus-range", "2..60", "--show-excluded", "--json"])
 def test_every_argv_exits_0_2_or_3(argv):
     code, text = run(argv)
     assert code in (0, 2, 3)
     assert code != 2 or text == ""
+    if code != 2 and "--json" in argv:  # canonical JSON round-trips byte for byte
+        assert json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n" == text
 
 
 def test_dumps_rejects_unknown_objects():

@@ -9,7 +9,7 @@ from fano3 import catalog
 from fano3.exactcore import Basis, change_basis, cls2, eval_form, form2
 from fano3.sarkisov import enumerate_links, midpoint_form
 
-IOTA = catalog.IOTA_BY_TARGET
+CATALOG = catalog.load()
 DEGREE_Y = {"p3": 1, "quadric": 2, "v3": 3, "v4": 4, "v5": 5}
 
 
@@ -17,7 +17,7 @@ def mf_blowup_form(target_id: str, deg_z: int, genus_z: int):
     """(Mbar, Fbar) form of the blowup of a curve on Y: Mbar^3 = d(Y),
     Mbar^2.Fbar = 0, Mbar.Fbar^2 = -deg Z, Fbar^3 = 2 - 2g(Z) + K_Y.Z."""
     d = DEGREE_Y[target_id]
-    iota = IOTA[target_id]
+    iota = CATALOG.by_id(target_id).index
     f3 = 2 - 2 * genus_z - iota * deg_z
     return form2(Basis.MF, d, 0, -deg_z, f3)
 

@@ -12,10 +12,9 @@ from fano3.sarkisov import (
     InconsistentCandidate,
     LinkCandidate,
     TargetInvariants,
-    _fiber_trials,
     _point_blowdown_box,
-    _point_blowdown_trials,
     _ray_cube,
+    _ray_trials,
     _rho2_trial,
     defect,
     enumerate_links,
@@ -248,8 +247,9 @@ def test_enumerate_links_rejects_bad_arguments():
 
 def test_solved_trials_cover_every_box_point():
     # trial-level oracle on synthetic midpoint values (k3, ke, kee): every box
-    # point on a defining equation must be a solved trial, also for the types
-    # no index-1 source realizes, which the enumeration oracle cannot see
+    # point whose (q2, lin) is an entry of RAY_TYPE must be a solved trial,
+    # also for the types no index-1 source realizes, which the enumeration
+    # oracle cannot see
     box = 60
     fiber_hits = dict.fromkeys([("D", 1), ("D", 2), ("D", 3), ("C", 1), ("C", 2)], 0)
     k_hits = dict.fromkeys(RAY_TYPE[-2], 0)
@@ -257,21 +257,21 @@ def test_solved_trials_cover_every_box_point():
         for ke in (*range(-6, 0), *range(1, 7)):
             for kee in range(-6, 0):
                 vals = (k3, ke, kee, 0)
+                solved = set(_ray_trials(vals))
                 for kind, mu in fiber_hits:
                     q2 = 0 if kind == "D" else 2  # Mbar^2.(-K)
-                    solved = _fiber_trials(vals, mu, q2)
                     for a in range(1, box + 1):
-                        if k3 * a * a - 2 * a * mu * ke + mu * mu * kee == q2:
-                            assert a in solved, (vals, kind, mu, a)
+                        on_q2 = k3 * a * a - 2 * a * mu * ke + mu * mu * kee == q2
+                        if on_q2 and k3 * a - ke * mu in RAY_TYPE[q2]:  # Mbar.(-K)^2
+                            assert (a, mu) in solved, (vals, kind, mu, a)
                             fiber_hits[kind, mu] += 1
-                pairs = set(_point_blowdown_trials(vals))
                 for a_f, b_f in _point_blowdown_box(vals, box):  # Fbar^2.(-K) = -2
                     k = k3 * a_f - ke * b_f
                     if k in k_hits:
-                        assert (a_f, b_f) in pairs, (vals, a_f, b_f)
+                        assert (a_f, b_f) in solved, (vals, a_f, b_f)
                         k_hits[k] += 1
-    assert all(fiber_hits.values()), fiber_hits
-    assert all(k_hits.values()), k_hits
+    assert fiber_hits == {("D", 1): 39, ("D", 2): 21, ("D", 3): 10, ("C", 1): 57, ("C", 2): 15}
+    assert k_hits == {4: 14, 2: 7, 1: 3}
 
 
 # --- Euler propagation ------------------------------------------------------
