@@ -2,35 +2,3 @@
 
 Everything is computed over exact rationals; no floats anywhere.
 """
-
-from fano3.exactcore import (
-    Basis,
-    BasisError,
-    DivisorClass,
-    TrilinearForm,
-    change_basis,
-    eval_form,
-)
-from fano3.riemannroch import (
-    FanoNumerics,
-    HilbertPolynomial,
-    genus_degree,
-    h0_fundamental,
-    hilbert_polynomial,
-    surface_h0,
-)
-
-__all__ = [
-    "Basis",
-    "BasisError",
-    "DivisorClass",
-    "TrilinearForm",
-    "change_basis",
-    "eval_form",
-    "FanoNumerics",
-    "HilbertPolynomial",
-    "genus_degree",
-    "h0_fundamental",
-    "hilbert_polynomial",
-    "surface_h0",
-]

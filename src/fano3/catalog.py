@@ -96,24 +96,7 @@ class Catalog:
 def load() -> Catalog:
     raw = json.loads(resources.files("fano3.data").joinpath("classification.json").read_text())
     entries = tuple(
-        CatalogEntry(
-            id=e["id"],
-            rho=e["rho"],
-            index=e["index"],
-            antik_cube=e["antik_cube"],
-            genus=e.get("genus"),
-            h12=e["h12"],
-            chi_top=e["chi_top"],
-            kc2=e["kc2"],
-            description=e["description"],
-            flags=tuple(e.get("flags", ())),
-            family=e.get("family"),
-            rays=tuple(e["rays"]) if "rays" in e else None,
-            construction=e.get("construction"),
-            hyperplane_section=e.get("hyperplane_section"),
-            h0_tangent=e.get("h0_tangent"),
-            moduli_dim=e.get("moduli_dim"),
-        )
+        CatalogEntry(**{**e, "flags": tuple(e.get("flags", ())), "rays": tuple(e.get("rays", ())) or None})
         for e in raw["entries"]
     )
     facts = tuple(FactRecord(f["subject"], f["predicate"], f["value"]) for f in raw["facts"])
@@ -142,7 +125,7 @@ def _fano_genus(entry: CatalogEntry) -> int:
     return entry.antik_cube // 2 + 1
 
 
-def verify(entry: CatalogEntry, cat: Optional[Catalog] = None) -> list[CheckResult]:
+def verify(entry: CatalogEntry) -> list[CheckResult]:
     """Run every applicable identity on one entry; failures are data."""
     checks: list[CheckResult] = []
 
@@ -178,20 +161,19 @@ def verify(entry: CatalogEntry, cat: Optional[Catalog] = None) -> list[CheckResu
         add("tangent-deformation-nonneg", h1 >= 0, True)
         if entry.moduli_dim is not None:
             add("tangent-deformation", h1, entry.moduli_dim)
-    if entry.construction and "blowups" in entry.construction and cat is not None:
+    if entry.construction and "blowups" in entry.construction:
         for i, bl in enumerate(entry.construction["blowups"]):
-            target = cat.by_id(bl["of"])
+            target = load().by_id(bl["of"])
             center = CurveCenter(target.index * bl["deg"], bl["genus"])
             predicted = blowup_curve(target.antik_cube, center).values[0]
             add(f"blowdown-consistency-{i}", predicted, Fraction(entry.antik_cube))
     return checks
 
 
-def verify_all(cat: Optional[Catalog] = None) -> list[CheckResult]:
-    cat = cat or load()
+def verify_all() -> list[CheckResult]:
     out: list[CheckResult] = []
-    for entry in cat.entries:
-        out.extend(verify(entry, cat))
+    for entry in load().entries:
+        out.extend(verify(entry))
     return out
 
 
@@ -218,9 +200,9 @@ class LinkFactStore:
         return self.chi_by_subject.get(subject)
 
 
-def link_facts(cat: Optional[Catalog] = None) -> LinkFactStore:
+def link_facts() -> LinkFactStore:
     """Fact store for the link filter, built from the shipped tables."""
-    cat = cat or load()
+    cat = load()
     known = frozenset(e.genus for e in cat.entries if e.rho == 1 and e.index == 1 and e.genus)
     chi: dict[str, int] = {}
     for e in cat.entries:
@@ -236,11 +218,10 @@ def link_facts(cat: Optional[Catalog] = None) -> LinkFactStore:
     return LinkFactStore(known, chi, rational, irrational, rules)
 
 
-def realized_scrolls(kind: str, genus: int, cat: Optional[Catalog] = None) -> dict[tuple[int, ...], str]:
+def realized_scrolls(kind: str, genus: int) -> dict[tuple[int, ...], str]:
     """splitting -> entry id for the realized models of the given kind/genus."""
-    cat = cat or load()
     out = {}
-    for row in cat.scroll_models[kind]:
+    for row in load().scroll_models[kind]:
         if row["genus"] == genus and row["entry"]:
             out[tuple(row["splitting"])] = row["entry"]
     return out

@@ -328,9 +328,9 @@ def _cmd_catalog(args, out) -> int:
         return 0
     # verify
     if args.id is not None:
-        results = catalog.verify(cat.by_id(args.id), cat)
+        results = catalog.verify(cat.by_id(args.id))
     else:
-        results = catalog.verify_all(cat)
+        results = catalog.verify_all()
     failures = [r for r in results if not r.passed]
     payload = {
         "checks": len(results),

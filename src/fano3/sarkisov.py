@@ -59,10 +59,6 @@ EFFECTIVITY_NONEMPTY = {"line": 6, "conic": 8, "point": 9}
 EFFECTIVITY_STRICT = {"line": 7, "conic": 9, "point": 10}
 
 
-class InconsistentCandidate(ValueError):
-    """A candidate with negative defect reached the defect computation."""
-
-
 @dataclass(frozen=True)
 class TargetInvariants:
     """What the second contraction lands on."""
@@ -129,7 +125,7 @@ def midpoint_form(center: Center, g: int) -> TrilinearForm:
     the blowup-side value (Ebar^3 is fixed per candidate).  Higher-index
     sources go through fano3.blowup with explicit (antik_cube, center)."""
     data = CENTER_DATA[center]
-    c = Fraction(2 * g - 2)
+    c = 2 * g - 2
     return blowup_point(c) if isinstance(data, PointCenter) else blowup_curve(c, data)
 
 
@@ -358,15 +354,6 @@ def enumerate_links(
         raise ValueError(f"genus must be >= 2, got {genera[0]}")
     candidates = [cand for g in genera for cand in _enumerate_cell(center, g, search_bound)]
     return filter_links(candidates)
-
-
-def defect(candidate: LinkCandidate) -> Fraction:
-    """E^3 - Ebar^3; nonnegative for every consistent link."""
-    if candidate.defect < 0:
-        raise InconsistentCandidate(
-            f"negative defect {candidate.defect} signals an enumeration bug"
-        )
-    return candidate.defect
 
 
 def euler_propagate(

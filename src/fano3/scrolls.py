@@ -51,8 +51,8 @@ def scroll_intersection(s: ScrollData, classes: Sequence[DivisorClass]) -> Fract
     if len(classes) != m:
         raise ArityError(f"need exactly {m} classes, got {len(classes)}")
     for d in classes:
-        if d.basis is not Basis.MF or d.rank != 2:
-            raise ArityError("classes must be rank-2 in the (M, F) basis")
+        if d.basis is not Basis.MF:
+            raise ArityError("classes must be in the (M, F) basis")
     a = [d.coords[0] for d in classes]
     b = [d.coords[1] for d in classes]
     all_m = Fraction(1)

@@ -105,8 +105,6 @@ class CiInvariants:
     index: int
     fundamental_degree: Fraction
     genus: int | None
-    integral_degree: bool
-    lefschetz_ok: bool
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
     @property
@@ -118,7 +116,7 @@ class CiInvariants:
 def ci_fano_invariants(spec: CompleteIntersectionSpec) -> CiInvariants:
     """dim = n - r, iota = sum(w) - sum(d), (-K)^dim = iota^dim * prod(d)/prod(w).
 
-    Non-integral (-K)^dim is returned with a flag rather than rejected; the
+    Non-integral (-K)^dim is returned with a warning rather than rejected; the
     Lefschetz argument for iota needs ambient dimension >= 4 and a warning is
     recorded below that.
     """
@@ -140,7 +138,7 @@ def ci_fano_invariants(spec: CompleteIntersectionSpec) -> CiInvariants:
     genus = None
     if dim == 3 and iota == 1 and integral and int(antik) % 2 == 0:
         genus = int(antik) // 2 + 1
-    return CiInvariants(dim, iota, fundamental, genus, integral, w.dim >= 4, tuple(warnings))
+    return CiInvariants(dim, iota, fundamental, genus, tuple(warnings))
 
 
 def double_cover_antik_power(

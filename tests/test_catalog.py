@@ -11,8 +11,8 @@ def cat():
     return catalog.load()
 
 
-def test_verify_all_passes(cat):
-    failures = [r for r in catalog.verify_all(cat) if not r.passed]
+def test_verify_all_passes():
+    failures = [r for r in catalog.verify_all() if not r.passed]
     assert failures == []
 
 
@@ -146,8 +146,8 @@ def test_base_point_and_hyperelliptic_flags(cat):
     assert "v1" in hyp and "fano-g2" in hyp and "fano-g3-double-quadric" in hyp
 
 
-def test_link_facts_shape(cat):
-    facts = catalog.link_facts(cat)
+def test_link_facts_shape():
+    facts = catalog.link_facts()
     assert facts.known_genera == frozenset({2, 3, 4, 5, 6, 7, 8, 9, 10, 12})
     assert facts.chi("fano-g12") == 4
     assert facts.chi("p3") == 4

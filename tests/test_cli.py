@@ -202,6 +202,7 @@ def _argv(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=_argv())
 @example(argv=["link", "--center", "point", "--genus-range", "2..60", "--show-excluded", "--json"])
+@example(argv=["rr", "--dim", "3", "--index", "1", "--genus", "12", "--t", "2", "--json"])
 def test_every_argv_exits_0_2_or_3(argv):
     code, text = run(argv)
     assert code in (0, 2, 3)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from fano3.exactcore import (
     Basis,
     BasisError,
+    DivisorClass,
+    TrilinearForm,
     change_basis,
     cls2,
     eval_form,
@@ -64,14 +66,12 @@ def test_change_basis_rejects_bad_bases():
 def test_basis_mismatch_raises():
     with pytest.raises(BasisError):
         eval_form(LINE_G12, cls2(Basis.MF, 1, 0), ke(1, 0), ke(1, 0))
-
-
-def test_rank1_form():
-    from fano3.exactcore import DivisorClass, TrilinearForm
-
-    f = TrilinearForm(Basis.H_ONLY, (5,), dim=3)
-    h = DivisorClass(Basis.H_ONLY, (Fraction(2),))
-    assert eval_form(f, h, h, h) == 40
+    with pytest.raises(BasisError):
+        DivisorClass(Basis.KE, (Fraction(2),))
+    with pytest.raises(BasisError):
+        TrilinearForm(Basis.KE, (18, 3, -2))
+    with pytest.raises(BasisError):
+        TrilinearForm(Basis.KE, (5,))
 
 
 rationals = st.fractions(

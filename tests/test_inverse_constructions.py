@@ -10,14 +10,14 @@ from fano3.exactcore import Basis, change_basis, cls2, eval_form, form2
 from fano3.sarkisov import enumerate_links, midpoint_form
 
 CATALOG = catalog.load()
-DEGREE_Y = {"p3": 1, "quadric": 2, "v3": 3, "v4": 4, "v5": 5}
 
 
 def mf_blowup_form(target_id: str, deg_z: int, genus_z: int):
     """(Mbar, Fbar) form of the blowup of a curve on Y: Mbar^3 = d(Y),
     Mbar^2.Fbar = 0, Mbar.Fbar^2 = -deg Z, Fbar^3 = 2 - 2g(Z) + K_Y.Z."""
-    d = DEGREE_Y[target_id]
-    iota = CATALOG.by_id(target_id).index
+    entry = CATALOG.by_id(target_id)
+    iota = entry.index
+    d = entry.antik_cube // iota**3
     f3 = 2 - 2 * genus_z - iota * deg_z
     return form2(Basis.MF, d, 0, -deg_z, f3)
 
@@ -72,11 +72,10 @@ def test_confirmed_b1_candidates_match_far_side_blowup(center):
     ]
     assert cands
     for c in cands:
-        target = c.target.subject_id()
-        if target not in DEGREE_Y:
-            continue  # iota = 1 targets carry no M-basis degree table here
-        form = mf_blowup_form(target, c.target.deg_z, c.target.genus_z)
         iota = c.target.iota_y
+        if iota == 1:
+            continue  # iota = 1 targets have no fundamental divisor M to blow up in
+        form = mf_blowup_form(c.target.subject_id(), c.target.deg_z, c.target.genus_z)
         a_m = c.mbar[0]
         kbar = cls2(Basis.MF, iota, -1)
         ebar = cls2(Basis.MF, c.fbar[0], -a_m)  # Ebar = (a_m*iota - 1) M - a_m F

@@ -9,14 +9,10 @@ from fano3.sarkisov import (
     RAY2_ORDER,
     RAY_TYPE,
     RHO2_SYSTEMS,
-    InconsistentCandidate,
-    LinkCandidate,
-    TargetInvariants,
     _point_blowdown_box,
     _ray_cube,
     _ray_trials,
     _rho2_trial,
-    defect,
     enumerate_links,
     euler_propagate,
     midpoint_form,
@@ -173,7 +169,7 @@ def test_defects_strictly_positive_in_range():
         cands = enumerate_links(center, range(7, 13))
         assert cands
         for cand in cands:
-            assert defect(cand) > 0
+            assert cand.defect > 0
 
 
 def test_line_defects_match_minus_iota_oracle():
@@ -182,18 +178,8 @@ def test_line_defects_match_minus_iota_oracle():
     assert cands
     for c in cands:
         assert c.ebar_cube == -c.target.iota_y
-        assert defect(c) == midpoint_form(c.center, c.g).values[3] + c.target.iota_y
+        assert c.defect == midpoint_form(c.center, c.g).values[3] + c.target.iota_y
     assert {(c.g, c.defect) for c in cands} == {(9, 5), (10, 4), (12, 3)}
-
-
-def test_negative_defect_raises():
-    broken = LinkCandidate(
-        "line", 9, "B1", (1, 1), (3, 4),
-        TargetInvariants("fano-curve-blowdown", iota_y=4, degree_y=1),
-        ebar_cube=Fraction(5), defect=Fraction(-4),
-    )
-    with pytest.raises(InconsistentCandidate):
-        defect(broken)
 
 
 def test_round_trip_through_eval_form():
