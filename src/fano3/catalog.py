@@ -15,9 +15,6 @@ from functools import lru_cache
 from importlib import resources
 from typing import Any, Optional
 
-from fano3.blowup import CurveCenter, blowup_curve
-from fano3.riemannroch import FanoNumerics, hilbert_polynomial
-
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -127,6 +124,9 @@ def _fano_genus(entry: CatalogEntry) -> int:
 
 def verify(entry: CatalogEntry) -> list[CheckResult]:
     """Run every applicable identity on one entry; failures are data."""
+    from fano3.blowup import CurveCenter, blowup_curve
+    from fano3.riemannroch import FanoNumerics, hilbert_polynomial
+
     checks: list[CheckResult] = []
 
     def add(name: str, lhs: Any, rhs: Any) -> None:

@@ -14,9 +14,6 @@ import sys
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
-from fano3 import blowup, catalog, riemannroch, sarkisov, scrolls, wps
-from fano3.exactcore import Basis, DivisorClass, cls2
-
 
 def _jsonable(obj: Any) -> Any:
     if isinstance(obj, Fraction):
@@ -51,9 +48,14 @@ def _frac_str(x: Fraction) -> str:
 # and chi(t) grows like t^dim
 RR_MAX_DIM = 100
 RR_MAX_T = 10**6
+# the trigonal case list has O(g^3) rows (659 kB of JSON at genus 100), the
+# hyperelliptic one O(g^2)
+SCROLL_MAX_GENUS = 100
 
 
 def _cmd_rr(args, out) -> int:
+    from fano3 import riemannroch
+
     if args.dim > RR_MAX_DIM:
         raise ValueError(f"--dim must be at most {RR_MAX_DIM}, got {args.dim}")
     if abs(args.t) > RR_MAX_T:
@@ -82,6 +84,8 @@ def _cmd_rr(args, out) -> int:
 # --- blowup ---------------------------------------------------------------
 
 def _cmd_blowup(args, out) -> int:
+    from fano3 import blowup
+
     c = Fraction(args.antik_cube)
     if args.point:
         form = blowup.blowup_point(c)
@@ -105,6 +109,8 @@ _CLASS_TERM = re.compile(r"([+-]?\d*)([MF])")
 
 
 def parse_mf_class(text: str) -> DivisorClass:
+    from fano3.exactcore import Basis, cls2
+
     m = f = Fraction(0)
     pos = 0
     cleaned = text.replace(" ", "")
@@ -130,12 +136,19 @@ def parse_mf_class(text: str) -> DivisorClass:
 
 
 def _cmd_scroll(args, out) -> int:
+    from fano3 import scrolls
+
     if (args.weights is None) == (args.hyperelliptic is None and args.trigonal is None):
         raise ValueError(
             "--weights is required with --h0/--canonical/--intersect and not allowed"
             " with --hyperelliptic/--trigonal"
         )
+    genus = args.hyperelliptic if args.trigonal is None else args.trigonal
+    if genus is not None and genus > SCROLL_MAX_GENUS:
+        raise ValueError(f"genus must be at most {SCROLL_MAX_GENUS}, got {genus}")
     if args.hyperelliptic is not None:
+        from fano3 import catalog
+
         cands = scrolls.mark_realized(
             scrolls.hyperelliptic_candidates(args.hyperelliptic),
             catalog.realized_scrolls("hyperelliptic", args.hyperelliptic),
@@ -149,6 +162,8 @@ def _cmd_scroll(args, out) -> int:
         _emit(out, rows, args.json, table)
         return 0
     if args.trigonal is not None:
+        from fano3 import catalog
+
         cands = scrolls.mark_realized(
             scrolls.trigonal_candidates(args.trigonal),
             catalog.realized_scrolls("trigonal", args.trigonal),
@@ -186,6 +201,8 @@ def _cmd_scroll(args, out) -> int:
 # --- wps ------------------------------------------------------------------
 
 def _cmd_wps(args, out) -> int:
+    from fano3 import wps
+
     w = wps.WeightSystem(args.weights)
     normalized = wps.normalize(w)
     payload: dict[str, Any] = {
@@ -264,6 +281,8 @@ def _candidate_row(c: sarkisov.LinkCandidate) -> str:
 
 
 def _cmd_link(args, out) -> int:
+    from fano3 import sarkisov
+
     genera = [args.genus] if args.genus is not None else args.genus_range
     cands = sarkisov.enumerate_links(args.center, genera)
     if not args.show_excluded:
@@ -277,6 +296,8 @@ def _cmd_link(args, out) -> int:
 # --- rho2 -----------------------------------------------------------------
 
 def _cmd_rho2(args, out) -> int:
+    from fano3 import sarkisov
+
     sols = sarkisov.rho2_primitive_enumerate()
     payload = [
         {
@@ -309,6 +330,8 @@ def _entry_payload(e: catalog.CatalogEntry) -> dict:
 
 
 def _cmd_catalog(args, out) -> int:
+    from fano3 import catalog
+
     cat = catalog.load()
     if args.action == "list":
         entries = cat.list(rho=args.rho, index=args.index, genus=args.genus, flag=args.flag)
@@ -448,6 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Each handler imports its own layers, so that a process pays only for the
+# modules its subcommand uses: `fano3 rr` loads riemannroch and nothing else.
 COMMANDS = {
     "rr": _cmd_rr,
     "blowup": _cmd_blowup,

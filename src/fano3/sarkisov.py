@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Sequence
 
-from fano3 import catalog
 from fano3.blowup import CurveCenter, PointCenter, blowup_curve, blowup_point
 from fano3.exactcore import TrilinearForm
 
@@ -375,6 +374,8 @@ def filter_links(candidates: Sequence[LinkCandidate]) -> list[LinkCandidate]:
     link facts; nothing is dropped.  Rules fire in the order genus-bound,
     rationality, geometric, euler; rationality needs the source known
     rational and the target known irrational."""
+    from fano3 import catalog
+
     facts = catalog.link_facts()
     return [replace(cand, status=_status(cand, facts)) for cand in candidates]
 

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +11,8 @@ from hypothesis import strategies as st
 
 from fano3.cli import dumps, main
 
-SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "samples"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "docs" / "samples"
 
 GOLDEN_COMMANDS = {
     "rr.json": ["rr", "--dim", "3", "--index", "1", "--genus", "12", "--t", "1", "--json"],
@@ -128,6 +132,8 @@ def test_repeated_runs_are_byte_identical():
         (["rr", "--dim", "101", "--index", "100", "--degree", "2"], "--dim must be at most 100, got 101"),
         (["rr", "--dim", "3", "--index", "1", "--degree", "4", "--t", "9" * 4001],
          "--t must lie in -1000000..1000000"),
+        (["scroll", "--hyperelliptic", "101"], "genus must be at most 100, got 101"),
+        (["scroll", "--trigonal", "101", "--json"], "genus must be at most 100, got 101"),
     ],
 )
 def test_invalid_input_exits_two_with_message(argv, message, capsys):
@@ -150,8 +156,8 @@ _CATALOG_ID = st.sampled_from(["v3", "fano-g7", "nope"])
 # leading argv -> its flag groups, each exclusive in the grammar: flag ->
 # strategy for its value, None marking a switch
 _GROUPS = {
-    ("rr",): [{"--dim": _num(0, 4)}, {"--index": _num(0, 4)}, {"--t": _num(-5, 8)},
-              {"--degree": _num(-2, 12), "--genus": _num(-1, 20)}],
+    ("rr",): [{"--dim": _num(1, 4)}, {"--index": _num(1, 4)}, {"--t": _num(-5, 8)},
+              {"--degree": _num(1, 12), "--genus": _num(-1, 20)}],
     ("blowup",): [{"--antik-cube": _num(-2, 70)},
                   {"--point": None, "--curve": st.builds("{},{}".format, _num(-1, 8), _num(-1, 4))}],
     ("scroll",): [{"--weights": _commas(st.integers(-1, 4))},
@@ -214,6 +220,33 @@ def test_every_argv_exits_0_2_or_3(argv):
 def test_dumps_rejects_unknown_objects():
     with pytest.raises(TypeError, match="cannot serialize object"):
         dumps(object())
+
+
+def _loaded_modules(code):
+    """The fano3 modules a fresh interpreter holds after running code."""
+    script = f"import sys\n{code}\nprint(*sorted(m for m in sys.modules if m.startswith('fano3')))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+@pytest.mark.parametrize(
+    "argv,layers",
+    [
+        (["rr", "--dim", "3", "--index", "1", "--genus", "12"], {"riemannroch"}),
+        (["wps", "--weights", "1,1,1,2,3"], {"wps"}),
+        (["rho2", "enumerate-primitive"], {"sarkisov", "blowup", "exactcore"}),
+        (["catalog", "list"], {"catalog", "data"}),
+    ],
+    ids=["rr", "wps", "rho2", "catalog-list"],
+)
+def test_subcommand_loads_only_its_layers(argv, layers):
+    code = f"import io\nfrom fano3 import cli\nassert cli.main({argv!r}, out=io.StringIO()) == 0"
+    assert _loaded_modules(code) == {"fano3", "fano3.cli"} | {f"fano3.{m}" for m in layers}
+
+
+def test_cli_import_loads_no_layer():
+    assert _loaded_modules("import fano3.cli") == {"fano3", "fano3.cli"}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
