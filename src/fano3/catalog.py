@@ -9,7 +9,7 @@ backs the fact store consumed by the link filter.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -178,26 +178,14 @@ def verify_all() -> list[CheckResult]:
 
 
 @dataclass(frozen=True)
-class GeometricRule:
-    center: str
-    fbar: tuple[int, int]
-    rule: str
-
-
-@dataclass(frozen=True)
 class LinkFactStore:
     """Catalog-backed inputs for sarkisov.filter_links."""
 
     known_genera: frozenset[int]
-    chi_by_subject: dict[str, int]
+    chi: dict[str, int]
     rational_subjects: frozenset[str]
     irrational_subjects: frozenset[str]
-    geometric_rules: tuple[GeometricRule, ...] = field(default_factory=tuple)
-
-    def chi(self, subject: Optional[str]) -> Optional[int]:
-        if subject is None:
-            return None
-        return self.chi_by_subject.get(subject)
+    geometric_rules: dict[tuple[str, tuple[int, int]], str]  # (center, fbar) -> rule
 
 
 def link_facts() -> LinkFactStore:
@@ -211,10 +199,7 @@ def link_facts() -> LinkFactStore:
             chi[f"fano-g{e.genus}"] = e.chi_top
     rational = frozenset(f.subject for f in cat.facts if f.predicate == "Rational" and f.value)
     irrational = frozenset(f.subject for f in cat.facts if f.predicate == "Irrational" and f.value)
-    rules = tuple(
-        GeometricRule(r["center"], tuple(r["fbar"]), r["rule"])
-        for r in cat.geometric_exclusions
-    )
+    rules = {(r["center"], tuple(r["fbar"])): r["rule"] for r in cat.geometric_exclusions}
     return LinkFactStore(known, chi, rational, irrational, rules)
 
 

@@ -35,7 +35,7 @@ def _emit(out, payload: Any, as_json: bool, table: str) -> None:
     if as_json:
         out.write(dumps(payload))
     else:
-        out.write(table if table.endswith("\n") else table + "\n")
+        out.write(table + "\n")
 
 
 def _frac_str(x: Fraction) -> str:
@@ -111,28 +111,13 @@ _CLASS_TERM = re.compile(r"([+-]?\d*)([MF])")
 def parse_mf_class(text: str) -> DivisorClass:
     from fano3.exactcore import Basis, cls2
 
-    m = f = Fraction(0)
-    pos = 0
     cleaned = text.replace(" ", "")
-    while pos < len(cleaned):
-        match = _CLASS_TERM.match(cleaned, pos)
-        if match is None:
-            raise ValueError(f"cannot parse divisor class {text!r}")
-        coeff_txt = match.group(1)
-        if coeff_txt in ("", "+"):
-            coeff = Fraction(1)
-        elif coeff_txt == "-":
-            coeff = Fraction(-1)
-        else:
-            coeff = Fraction(int(coeff_txt))
-        if match.group(2) == "M":
-            m += coeff
-        else:
-            f += coeff
-        pos = match.end()
-    if not cleaned:
-        raise ValueError("empty divisor class")
-    return cls2(Basis.MF, m, f)
+    if not re.fullmatch(r"([+-]?\d*[MF])+", cleaned):
+        raise ValueError(f"cannot parse divisor class {text!r}")
+    coords = {"M": 0, "F": 0}
+    for coeff, name in _CLASS_TERM.findall(cleaned):
+        coords[name] += int(coeff + "1" if coeff in ("", "+", "-") else coeff)
+    return cls2(Basis.MF, coords["M"], coords["F"])
 
 
 def _cmd_scroll(args, out) -> int:
@@ -143,39 +128,26 @@ def _cmd_scroll(args, out) -> int:
             "--weights is required with --h0/--canonical/--intersect and not allowed"
             " with --hyperelliptic/--trigonal"
         )
-    genus = args.hyperelliptic if args.trigonal is None else args.trigonal
-    if genus is not None and genus > SCROLL_MAX_GENUS:
-        raise ValueError(f"genus must be at most {SCROLL_MAX_GENUS}, got {genus}")
-    if args.hyperelliptic is not None:
+    if args.weights is None:
+        if args.hyperelliptic is not None:
+            kind, genus, make = "hyperelliptic", args.hyperelliptic, scrolls.hyperelliptic_candidates
+        else:
+            kind, genus, make = "trigonal", args.trigonal, scrolls.trigonal_candidates
+        if genus > SCROLL_MAX_GENUS:
+            raise ValueError(f"genus must be at most {SCROLL_MAX_GENUS}, got {genus}")
         from fano3 import catalog
 
-        cands = scrolls.mark_realized(
-            scrolls.hyperelliptic_candidates(args.hyperelliptic),
-            catalog.realized_scrolls("hyperelliptic", args.hyperelliptic),
-        )
-        rows = [
-            {"splitting": list(c.scroll.splitting), "branch": list(c.branch_class.coords),
-             "status": c.status, "entry": c.realized_as}
-            for c in cands
-        ]
-        table = "\n".join(f"{str(r['splitting']):15s} {r['status']}" for r in rows)
-        _emit(out, rows, args.json, table)
-        return 0
-    if args.trigonal is not None:
-        from fano3 import catalog
-
-        cands = scrolls.mark_realized(
-            scrolls.trigonal_candidates(args.trigonal),
-            catalog.realized_scrolls("trigonal", args.trigonal),
-        )
-        rows = [
-            {"splitting": list(c.scroll.splitting), "status": c.status,
-             "witness": c.witness, "witness_k": c.witness_k, "entry": c.realized_as}
-            for c in cands
-        ]
+        rows = []
+        for c in scrolls.mark_realized(make(genus), catalog.realized_scrolls(kind, genus)):
+            row = {"splitting": list(c.scroll.splitting), "status": c.status, "entry": c.realized_as}
+            if kind == "hyperelliptic":
+                row["branch"] = list(c.branch_class.coords)
+            else:
+                row.update(witness=c.witness, witness_k=c.witness_k)
+            rows.append(row)
         table = "\n".join(
             f"{str(r['splitting']):15s} {r['status']}"
-            + (f" (witness {_frac_str(r['witness'])} at k={r['witness_k']})" if r["witness"] is not None else "")
+            + (f" (witness {_frac_str(r['witness'])} at k={r['witness_k']})" if r.get("witness") is not None else "")
             for r in rows
         )
         _emit(out, rows, args.json, table)

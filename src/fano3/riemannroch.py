@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 Rat = Union[int, Fraction]
 
@@ -139,22 +139,6 @@ def h0_fundamental(fn: FanoNumerics) -> int:
     if chi1 != value:
         raise ArithmeticError(f"section count {value} disagrees with chi(1) = {chi1}")
     return value
-
-
-def genus_degree(*, genus: Optional[int] = None, degree: Optional[int] = None) -> int:
-    """Convert between g and d = 2g-2 for index-1 threefolds (either direction)."""
-    if (genus is None) == (degree is None):
-        raise ValueError("give exactly one of genus= or degree=")
-    if degree is not None:
-        if degree % 2 != 0:
-            raise ParityError(f"degree {degree} is odd; index-1 threefolds have d = 2g-2")
-        if degree < 2:
-            raise ValueError("degree must be >= 2")
-        return degree // 2 + 1
-    assert genus is not None
-    if genus < 2:
-        raise ValueError("genus must be >= 2")
-    return 2 * genus - 2
 
 
 def surface_h0(d: int, iota: int, t: int) -> int:

@@ -30,9 +30,9 @@ CENTER_DATA: dict[str, CurveCenter | PointCenter] = {
     "point": PointCenter(),
 }
 
-# length mu and discrepancy alpha (birational only) of each type
+# length mu of each type, and discrepancy alpha of each point blowdown
 MU = {"C1": 1, "C2": 2, "D1": 1, "D2": 2, "D3": 3, "B1": 1, "B2": 2, "B3/B4": 1, "B5": 1}
-ALPHA = {"B1": Fraction(1), "B2": Fraction(2), "B3/B4": Fraction(1), "B5": Fraction(1, 2)}
+ALPHA = {"B2": Fraction(2), "B3/B4": Fraction(1), "B5": Fraction(1, 2)}
 # The type of the second ray spanned by D, read from q2 = (-K).D^2 and then
 # lin = (-K)^2.D (Mori-Mukai): a del Pezzo fibration has q2 = 0 and lin the
 # degree of its fiber, a conic bundle q2 = 2 and lin = 12 minus the degree of
@@ -387,12 +387,12 @@ def _status(cand: LinkCandidate, facts: catalog.LinkFactStore) -> str:
     target = cand.target.subject_id()
     if source in facts.rational_subjects and target in facts.irrational_subjects:
         return "excluded:rationality"
-    for rule in facts.geometric_rules:
-        if cand.birational and rule.center == cand.center and rule.fbar == cand.fbar:
-            return f"excluded:geometric:{rule.rule}"
+    rule = facts.geometric_rules.get((cand.center, cand.fbar))
+    if cand.birational and rule is not None:
+        return f"excluded:geometric:{rule}"
     if cand.ctype in ("B1", "B2"):
-        chi_x = facts.chi(source)
-        chi_y = facts.chi(target)
+        chi_x = facts.chi.get(source)
+        chi_y = facts.chi.get(target)
         if chi_x is not None and chi_y is not None:
             if cand.ctype == "B1":
                 # B1 admits only deg_z >= 1 and always sets genus_z
@@ -426,10 +426,6 @@ class Rho2Solution:
     antik_cube: int
 
 
-# D = a(-K) - bM; the values of (-K).D^2 in RAY_TYPE, one system each
-RHO2_SYSTEMS = (0, 2, -2)
-
-
 def rho2_primitive_enumerate(bound: int = 8) -> list[Rho2Solution]:
     """All solutions with a, b <= bound of the three second-ray systems on a
     primitive rho=2 Fano threefold carrying a conic bundle with discriminant
@@ -449,14 +445,14 @@ def rho2_primitive_enumerate(bound: int = 8) -> list[Rho2Solution]:
 
 def _rho2_trials(d: int, bound: int) -> list[tuple[Fraction, Fraction, int]]:
     """Every (a, b, q2) with a, b on the grid up to bound that can pass
-    _rho2_trial, in (a, b) order, systems in RHO2_SYSTEMS order.  b runs over
+    _rho2_trial, in (a, b) order, systems in RAY_TYPE order.  b runs over
     its grid, which the caller's bound makes finite; a is solved from b."""
     # (a, b) = (i/s, j/s): the grid has step 1/2 on the C2 side, else step 1
     s = 2 if d == 0 else 1
     coef = 12 - d
     trials = []
     for j in range(1, bound * s + 1):
-        for q2 in RHO2_SYSTEMS:
+        for q2 in RAY_TYPE:  # D = a(-K) - bM with (-K).D^2 = q2
             if q2 == -2:
                 # kk = k3*a - coef*b with k3*a^2 from (-K).D^2 = -2 gives
                 # a*(coef*b - kk) = 2 + 2b^2 for each admitted kk

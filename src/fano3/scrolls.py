@@ -135,10 +135,13 @@ def hyperelliptic_candidates(g: int) -> list[HyperellipticCandidate]:
 class TrigonalCandidate:
     scroll: ScrollData
     member_class: DivisorClass
-    excluded: bool
     witness: Optional[Fraction] = None
     witness_k: Optional[int] = None
     realized_as: Optional[str] = None
+
+    @property
+    def excluded(self) -> bool:
+        return self.witness is not None
 
     @property
     def status(self) -> str:
@@ -161,13 +164,10 @@ def trigonal_candidates(g: int) -> list[TrigonalCandidate]:
     # first negative value is at k0, and it exists exactly when d_1 >= k0.
     k0 = (2 * total - 4) // 3 + 1
     witness = Fraction(2 * total - 3 * k0 - 4)
-    out: list[TrigonalCandidate] = []
-    for sp in _splittings(total, 4):
-        if sp[0] >= k0:
-            out.append(TrigonalCandidate(ScrollData(sp), member, True, witness, k0))
-        else:
-            out.append(TrigonalCandidate(ScrollData(sp), member, False))
-    return out
+    return [
+        TrigonalCandidate(ScrollData(sp), member, *((witness, k0) if sp[0] >= k0 else ()))
+        for sp in _splittings(total, 4)
+    ]
 
 
 def mark_realized(

@@ -149,8 +149,10 @@ def test_base_point_and_hyperelliptic_flags(cat):
 def test_link_facts_shape():
     facts = catalog.link_facts()
     assert facts.known_genera == frozenset({2, 3, 4, 5, 6, 7, 8, 9, 10, 12})
-    assert facts.chi("fano-g12") == 4
-    assert facts.chi("p3") == 4
+    assert facts.chi["fano-g12"] == 4
+    assert facts.chi["p3"] == 4
     assert "v3" in facts.irrational_subjects
     assert "fano-g7" in facts.rational_subjects
-    assert facts.geometric_rules[0].center == "point"
+    assert facts.geometric_rules == {("point", (2, 1)): "double-anticanonical-minus-center-empty"}
+    # one rule per (center, fbar): a repeated key would silently replace a rule
+    assert len(facts.geometric_rules) == len(catalog.load().geometric_exclusions)

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -68,6 +69,33 @@ def test_catalog_facts():
     assert code == 0
     payload = json.loads(text)
     assert {"subject": "v3", "predicate": "Irrational", "value": True} in payload
+
+
+_BRANCH = '"branch":[{"den":"1","num":"4"},{"den":"1","num":"-8"}]'
+_NO_WITNESS = '"witness":null,"witness_k":null}'
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["scroll", "--trigonal", "8"],
+         "[3, 1, 1, 1]    excluded (witness -1 at k=3)\n[2, 2, 1, 1]    numeric-only\n"),
+        (["scroll", "--hyperelliptic", "7", "--json"],
+         f'[{{{_BRANCH},"entry":null,"splitting":[4,1,1],"status":"numeric-only"}},'
+         f'{{{_BRANCH},"entry":null,"splitting":[3,2,1],"status":"numeric-only"}},'
+         f'{{{_BRANCH},"entry":"dp2-times-p1","splitting":[2,2,2],"status":"realized"}}]\n'),
+        (["scroll", "--trigonal", "10", "--json"],
+         '[{"entry":null,"splitting":[5,1,1,1],"status":"excluded",'
+         '"witness":{"den":"1","num":"-3"},"witness_k":5},'
+         f'{{"entry":null,"splitting":[4,2,1,1],"status":"numeric-only",{_NO_WITNESS},'
+         f'{{"entry":null,"splitting":[3,3,1,1],"status":"numeric-only",{_NO_WITNESS},'
+         f'{{"entry":null,"splitting":[3,2,2,1],"status":"numeric-only",{_NO_WITNESS},'
+         f'{{"entry":"dp3-times-p1","splitting":[2,2,2,2],"status":"realized",{_NO_WITNESS}]\n'),
+    ],
+    ids=["trigonal-8", "hyperelliptic-7-json", "trigonal-10-json"],
+)
+def test_scroll_case_list_output(argv, expected):
+    assert run(argv) == (0, expected)
 
 
 def test_usage_errors_exit_two():
@@ -160,8 +188,7 @@ _GROUPS = {
               {"--degree": _num(1, 12), "--genus": _num(-1, 20)}],
     ("blowup",): [{"--antik-cube": _num(-2, 70)},
                   {"--point": None, "--curve": st.builds("{},{}".format, _num(-1, 8), _num(-1, 4))}],
-    ("scroll",): [{"--weights": _commas(st.integers(-1, 4))},
-                  {"--h0": None, "--canonical": None, "--intersect": _commas(_CLASS),
+    ("scroll",): [{"--h0": None, "--canonical": None, "--intersect": _commas(_CLASS),
                    "--hyperelliptic": _num(-1, 20), "--trigonal": _num(-1, 20)}],
     ("wps",): [{"--weights": _commas(st.integers(0, 9), 6)},
                {"--degrees": _commas(st.integers(0, 12), 3)}],
@@ -177,6 +204,8 @@ _GROUPS = {
     ("rho2", "enumerate-primitive"): [],
     ("rho2", "nope"): [],
 }
+# drawn only after a scroll mode that takes it
+_WEIGHTS = {"--weights": _commas(st.integers(-1, 4))}
 _JUNK = st.sampled_from(["", "x", "1,x", "7..3", "M,x", "2.5"])
 _RARELY = st.sampled_from([False] * 9 + [True])
 
@@ -194,12 +223,18 @@ def _argv(draw):
             strays = _GROUPS[("catalog", "list")] + _GROUPS[("catalog", "verify")]
             groups = groups + [draw(st.sampled_from(strays))]
     flags = []
-    for group in groups:
+
+    def draw_group(group):
         count = min(len(group), draw(st.sampled_from([1, 1, 1, 0, 2])))
         chosen = st.lists(st.sampled_from(sorted(group)), min_size=count, max_size=count, unique=True)
         for flag in draw(chosen):
             value = group[flag]
             flags.append([flag] if value is None else [flag, draw(_JUNK if draw(_RARELY) else value)])
+
+    for group in groups:
+        draw_group(group)
+    if head == ("scroll",) and {"--h0", "--canonical", "--intersect"} & {flag[0] for flag in flags}:
+        draw_group(_WEIGHTS)
     flags = draw(st.permutations(flags))
     json_flag = draw(st.lists(st.just("--json"), max_size=1))
     return [*head, *(token for flag in flags for token in flag), *json_flag]
@@ -209,6 +244,8 @@ def _argv(draw):
 @given(argv=_argv())
 @example(argv=["link", "--center", "point", "--genus-range", "2..60", "--show-excluded", "--json"])
 @example(argv=["rr", "--dim", "3", "--index", "1", "--genus", "12", "--t", "2", "--json"])
+@example(argv=["scroll", "--trigonal", "8", "--json"])
+@example(argv=["scroll", "--weights", "2,1,1", "--intersect", "M-F,2M+F,F", "--json"])
 def test_every_argv_exits_0_2_or_3(argv):
     code, text = run(argv)
     assert code in (0, 2, 3)
@@ -247,6 +284,23 @@ def test_subcommand_loads_only_its_layers(argv, layers):
 
 def test_cli_import_loads_no_layer():
     assert _loaded_modules("import fano3.cli") == {"fano3", "fano3.cli"}
+
+
+def _unused_imports(path):
+    """Names a module imports, at any depth, that it never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    return imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "fano3").glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == set()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))

@@ -12,7 +12,6 @@ from fano3.riemannroch import (
     FanoNumerics,
     ParityError,
     UnsupportedCoindex,
-    genus_degree,
     h0_fundamental,
     hilbert_polynomial,
     surface_h0,
@@ -89,11 +88,11 @@ def test_h0_fundamental(fn, expected):
 
 
 def test_genus_degree_roundtrip():
-    assert genus_degree(degree=22) == 12
-    assert genus_degree(degree=2) == 2
-    assert genus_degree(genus=2) == 2
+    assert FanoNumerics(3, 1, 22).genus == 12
+    assert FanoNumerics(3, 1, 2).genus == 2
+    assert FanoNumerics.from_genus(3, 2).degree == 2
     with pytest.raises(ParityError):
-        genus_degree(degree=7)
+        FanoNumerics(3, 1, 7)
 
 
 @pytest.mark.parametrize(

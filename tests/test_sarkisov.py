@@ -8,7 +8,6 @@ from fano3.exactcore import Basis, cls2, eval_form, form2
 from fano3.sarkisov import (
     RAY2_ORDER,
     RAY_TYPE,
-    RHO2_SYSTEMS,
     _point_blowdown_box,
     _ray_cube,
     _ray_trials,
@@ -315,7 +314,7 @@ def _rho2_grid_scan(bound):
         grid = [step * i for i in range(1, int(bound / step) + 1)]
         for a in grid:
             for b in grid:
-                for q2 in RHO2_SYSTEMS:
+                for q2 in RAY_TYPE:
                     sol = _rho2_trial(d, a, b, q2)
                     if sol is not None:
                         sols.append(sol)
