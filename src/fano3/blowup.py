@@ -38,9 +38,8 @@ class PointCenter:
 
 def pullback_form_curve(antik_cube: Rat, center: CurveCenter) -> TrilinearForm:
     """Form on (sigma^*(-K_V), E): (c, 0, -deg, 2 - 2g - deg)."""
-    c = Fraction(antik_cube)
     d0, h = center.deg_antik, center.genus
-    return form2(Basis.SIGMA, c, 0, -d0, 2 - 2 * h - d0)
+    return form2(Basis.SIGMA, antik_cube, 0, -d0, 2 - 2 * h - d0)
 
 
 def blowup_curve(antik_cube: Rat, center: CurveCenter) -> TrilinearForm:
@@ -52,13 +51,12 @@ def blowup_curve(antik_cube: Rat, center: CurveCenter) -> TrilinearForm:
         (-K) E^2 = 2h - 2
         E^3      = 2 - 2h - d0
     """
-    c = Fraction(antik_cube)
-    if c <= 0:
+    if antik_cube <= 0:
         raise ValueError("antik_cube must be positive")
     d0, h = center.deg_antik, center.genus
     return form2(
         Basis.KE,
-        c - 2 * d0 + 2 * h - 2,
+        antik_cube - 2 * d0 + 2 * h - 2,
         d0 - 2 * h + 2,
         2 * h - 2,
         2 - 2 * h - d0,
@@ -71,7 +69,6 @@ def blowup_point(antik_cube: Rat) -> TrilinearForm:
     Raises ValueError for c <= 0, as blowup_curve does.  A positive c with
     (-K_tilde)^3 <= 0 is flagged (TrilinearForm.not_big), not rejected.
     """
-    c = Fraction(antik_cube)
-    if c <= 0:
+    if antik_cube <= 0:
         raise ValueError("antik_cube must be positive")
-    return form2(Basis.KE, c - 8, 4, -2, 1)
+    return form2(Basis.KE, antik_cube - 8, 4, -2, 1)

@@ -179,28 +179,25 @@ def verify_all() -> list[CheckResult]:
 
 @dataclass(frozen=True)
 class LinkFactStore:
-    """Catalog-backed inputs for sarkisov.filter_links."""
+    """Catalog-backed inputs for sarkisov.filter_links, with the rho = 1
+    entries keyed by (index, (-K)^3): how a link knows the Fanos at its ends."""
 
-    known_genera: frozenset[int]
-    chi: dict[str, int]
-    rational_subjects: frozenset[str]
-    irrational_subjects: frozenset[str]
+    chi: dict[tuple[int, int], int]
+    rational: frozenset[tuple[int, int]]
+    irrational: frozenset[tuple[int, int]]
     geometric_rules: dict[tuple[str, tuple[int, int]], str]  # (center, fbar) -> rule
 
 
 def link_facts() -> LinkFactStore:
     """Fact store for the link filter, built from the shipped tables."""
     cat = load()
-    known = frozenset(e.genus for e in cat.entries if e.rho == 1 and e.index == 1 and e.genus)
-    chi: dict[str, int] = {}
-    for e in cat.entries:
-        chi[e.id] = e.chi_top
-        if e.rho == 1 and e.index == 1 and e.genus is not None:
-            chi[f"fano-g{e.genus}"] = e.chi_top
-    rational = frozenset(f.subject for f in cat.facts if f.predicate == "Rational" and f.value)
-    irrational = frozenset(f.subject for f in cat.facts if f.predicate == "Irrational" and f.value)
+    key = {e.id: (e.index, e.antik_cube) for e in cat.entries if e.rho == 1}
+    chi = {key[e.id]: e.chi_top for e in cat.entries if e.id in key}
+    holds = {(f.predicate, key[f.subject]) for f in cat.facts if f.value and f.subject in key}
+    rational = frozenset(k for predicate, k in holds if predicate == "Rational")
+    irrational = frozenset(k for predicate, k in holds if predicate == "Irrational")
     rules = {(r["center"], tuple(r["fbar"])): r["rule"] for r in cat.geometric_exclusions}
-    return LinkFactStore(known, chi, rational, irrational, rules)
+    return LinkFactStore(chi, rational, irrational, rules)
 
 
 def realized_scrolls(kind: str, genus: int) -> dict[tuple[int, ...], str]:

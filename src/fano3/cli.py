@@ -65,7 +65,7 @@ def _cmd_rr(args, out) -> int:
             raise ValueError(f"--genus needs --index = --dim - 2 (coindex 3), got --index {args.index}")
         fn = riemannroch.FanoNumerics.from_genus(args.dim, args.genus)
     else:
-        fn = riemannroch.FanoNumerics(args.dim, args.index, Fraction(args.degree))
+        fn = riemannroch.FanoNumerics(args.dim, args.index, args.degree)
     chi = riemannroch.hilbert_polynomial(fn)
     value = chi(args.t)
     payload = {
@@ -86,13 +86,12 @@ def _cmd_rr(args, out) -> int:
 def _cmd_blowup(args, out) -> int:
     from fano3 import blowup
 
-    c = Fraction(args.antik_cube)
     if args.point:
-        form = blowup.blowup_point(c)
+        form = blowup.blowup_point(args.antik_cube)
         center = {"kind": "point"}
     else:
         deg, genus = args.curve
-        form = blowup.blowup_curve(c, blowup.CurveCenter(deg, genus))
+        form = blowup.blowup_curve(args.antik_cube, blowup.CurveCenter(deg, genus))
         center = {"kind": "curve", "deg_antik": deg, "genus": genus}
     names = ["(-K)^3", "(-K)^2.E", "(-K).E^2", "E^3"]
     table = "\n".join(f"{n:10s} {_frac_str(v)}" for n, v in zip(names, form.values))
@@ -408,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--h0", action="store_true")
     mode.add_argument("--canonical", action="store_true")
     mode.add_argument("--intersect", type=_parsed("classes like 3M-4F,M-F", _classes),
-                      help="comma list of classes like 3M-4F,M-F,...")
+                      help="comma list of classes like 3M-4F,M-F,...; write"
+                      " --intersect=-M+F,... when the first class starts with '-'")
     mode.add_argument("--hyperelliptic", type=int, help="genus for the rank-3 case list")
     mode.add_argument("--trigonal", type=int, help="genus for the rank-4 case list")
 

@@ -60,7 +60,7 @@ class FanoNumerics:
     def from_genus(cls, dim: int, genus: int) -> "FanoNumerics":
         if genus < 2:
             raise ValueError("genus must be >= 2")
-        return cls(dim, dim - 2, Fraction(2 * genus - 2))
+        return cls(dim, dim - 2, 2 * genus - 2)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Starting from the blowup of a line, conic, or point on an index-1 Fano
 threefold of genus g with Picard group Z, the midpoint carries the exact
 values ((-K)^3, (-K)^2.E, (-K).E^2) and the unknown Ebar^3 on the far side.
 Every contraction type imposes two flop-invariant equations plus one that
-solves Ebar^3; candidates surviving all integrality and positivity
-constraints are then vetted against the catalog fact store.
+solves Ebar^3; survivors of the integrality and positivity checks are vetted
+against catalog facts, source and target matched to entries by (index, (-K)^3).
 
 The trials are solved, not searched: each entry of RAY_TYPE gives at most
 one fiber, conic-bundle or point-blowdown trial through the identity in
@@ -30,9 +30,8 @@ CENTER_DATA: dict[str, CurveCenter | PointCenter] = {
     "point": PointCenter(),
 }
 
-# length mu of each type, and discrepancy alpha of each point blowdown
+# length mu of each type
 MU = {"C1": 1, "C2": 2, "D1": 1, "D2": 2, "D3": 3, "B1": 1, "B2": 2, "B3/B4": 1, "B5": 1}
-ALPHA = {"B2": Fraction(2), "B3/B4": Fraction(1), "B5": Fraction(1, 2)}
 # The type of the second ray spanned by D, read from q2 = (-K).D^2 and then
 # lin = (-K)^2.D (Mori-Mukai): a del Pezzo fibration has q2 = 0 and lin the
 # degree of its fiber, a conic bundle q2 = 2 and lin = 12 minus the degree of
@@ -40,7 +39,7 @@ ALPHA = {"B2": Fraction(2), "B3/B4": Fraction(1), "B5": Fraction(1, 2)}
 # pairing constant k.  The curve blowdown B1 is read from its target instead.
 RAY_TYPE: dict[int, dict[int, str]] = {
     0: {**dict.fromkeys(range(1, 7), "D1"), 8: "D2", 9: "D3"},
-    2: {12: "C2", **{12 - delta: "C1" for delta in range(3, 12)}},
+    2: {**{12 - delta: "C1" for delta in range(3, 12)}, 12: "C2"},
     -2: {4: "B2", 2: "B3/B4", 1: "B5"},
 }
 # degree d(Y) a B1 target of index iota >= 2 may have: P^3, the quadric and the
@@ -52,10 +51,10 @@ POINT_SINGULARITY = {
     "B5": "quotient point C^3/{+-1}, non-Gorenstein of multiplicity 4",
 }
 
-# genus from which |-K_tilde - E| is guaranteed non-empty resp. of positive
-# dimension, from the h^0 lower bounds g-5 / g-7 / g-8 on the three blowups.
+# genus from which |-K_tilde - E| is guaranteed non-empty, from the h^0 lower
+# bounds g-5 / g-7 / g-8 on the three blowups; one genus later h^0 >= 2.
 EFFECTIVITY_NONEMPTY = {"line": 6, "conic": 8, "point": 9}
-EFFECTIVITY_STRICT = {"line": 7, "conic": 9, "point": 10}
+EFFECTIVITY_STRICT = {center: g + 1 for center, g in EFFECTIVITY_NONEMPTY.items()}
 
 
 @dataclass(frozen=True)
@@ -76,17 +75,12 @@ class TargetInvariants:
     k: Optional[int] = None
     singularity: Optional[str] = None
 
-    def subject_id(self) -> Optional[str]:
-        """Catalog subject the target corresponds to, when identifiable."""
-        if self.kind in ("fano-curve-blowdown", "fano-point-blowdown"):
-            if self.iota_y == 4:
-                return "p3"
-            if self.iota_y == 3:
-                return "quadric"
-            if self.iota_y == 2 and self.degree_y is not None:
-                return f"v{self.degree_y}"
-            if self.iota_y == 1 and self.genus_y is not None:
-                return f"fano-g{self.genus_y}"
+    def fano(self) -> Optional[tuple[int, int]]:
+        """(index, (-K)^3) of the Fano threefold Y, None for a fibration."""
+        if self.kind == "fano-curve-blowdown":
+            return self.iota_y, self.iota_y**3 * self.degree_y
+        if self.kind == "fano-point-blowdown":
+            return self.iota_y, self.antik_cube_y
         return None
 
 
@@ -145,12 +139,12 @@ def _ray_cube(q2: int, lin: int) -> Fraction:
 
 
 def _ray_candidates(
-    center: Center, g: int, vals: tuple[int, ...], bound: int
+    center: Center, g: int, vals: tuple[int, ...], trials: Iterable[tuple[int, int]]
 ) -> Iterable[LinkCandidate]:
     """The fiber, conic-bundle and point-blowdown links: Fbar = a(-K) - bE
     spans the second ray, whose type RAY_TYPE reads from Fbar."""
     k3, ke, kee, e3 = vals
-    for a, b in _ray_box(vals, bound) if bound else _ray_trials(vals):
+    for a, b in trials:
         q2 = k3 * a * a - 2 * a * b * ke + b * b * kee  # Fbar^2.(-K)
         if q2 not in RAY_TYPE:
             continue
@@ -160,18 +154,17 @@ def _ray_candidates(
             continue
         cube = _ray_cube(q2, lin)
         if q2 < 0:
-            # Fbar is the exceptional divisor over a point of Y, k = lin, and
-            # -K_Y pulls back to -K + alpha*Fbar
-            alpha, mu = ALPHA[tag], MU[tag]
-            iota = b * alpha / mu
-            a_m = (alpha * a + 1) / iota
-            anti_y = k3 + 3 * alpha * lin + 3 * alpha * alpha * q2 + alpha**3 * cube
-            if iota.denominator != 1 or not 1 <= iota <= 4 or a_m.denominator != 1:
+            # Fbar is the exceptional divisor over a point of Y, k = lin, and -K_Y
+            # pulls back to -K + (k/2)Fbar, as (-K).Fbar^2 = -(k/2)Fbar^3 = -2:
+            # iota = bk/(2mu), a_m = (ka + 2)/(2iota), (-K_Y)^3 = k3 + k^2/2
+            iota, r_iota = divmod(b * lin, 2 * MU[tag])
+            if r_iota or not 1 <= iota <= 4:
                 continue
-            if anti_y <= 0 or anti_y.denominator != 1:
+            a_m, r_a = divmod(lin * a + 2, 2 * iota)
+            anti_y, r_y = divmod(2 * k3 + lin * lin, 2)
+            if r_a or r_y or anti_y <= 0:
                 continue
-            iota, anti_y = int(iota), int(anti_y)
-            mbar = (int(a_m), mu)
+            mbar = (a_m, MU[tag])
             target = TargetInvariants(
                 "fano-point-blowdown",
                 k=lin,
@@ -232,12 +225,12 @@ def _ray_box(vals: tuple[int, ...], bound: int) -> list[tuple[int, int]]:
 
 
 def _b1_candidates(
-    center: Center, g: int, vals: tuple[int, ...], bound: int
+    center: Center, g: int, vals: tuple[int, ...], trials: dict[int, Iterable[int]]
 ) -> Iterable[LinkCandidate]:
+    """The curve blowdowns onto a Fano of index iota, from each a_m in trials[iota]."""
     k3, ke, kee, e3 = vals
-    for iota in (1, 2, 3, 4):
-        trials = range(1, bound + 1) if bound else _b1_trials(center, g, vals, iota)
-        for a_m in trials:
+    for iota, a_ms in trials.items():
+        for a_m in a_ms:
             a_f = iota * a_m - 1
             if a_f < 1:
                 continue
@@ -323,11 +316,16 @@ def _point_blowdown_box(vals: tuple[int, ...], bound: int) -> Iterable[tuple[int
 
 
 def _enumerate_cell(center: Center, g: int, bound: int) -> list[LinkCandidate]:
+    """One cell's candidates: from the solved trials, or with bound >= 1 the box."""
     # integral for the index-1 sources here, so the trials run on int
     vals = tuple(int(v) for v in midpoint_form(center, g).values)
     if vals[0] <= 0:
         return []
-    cands = [*_ray_candidates(center, g, vals, bound), *_b1_candidates(center, g, vals, bound)]
+    if bound:
+        rays, b1 = _ray_box(vals, bound), dict.fromkeys((1, 2, 3, 4), range(1, bound + 1))
+    else:
+        rays, b1 = _ray_trials(vals), {i: _b1_trials(center, g, vals, i) for i in (1, 2, 3, 4)}
+    cands = [*_ray_candidates(center, g, vals, rays), *_b1_candidates(center, g, vals, b1)]
     cands.sort(key=lambda c: (c.g, c.ctype, c.fbar))
     return cands
 
@@ -381,19 +379,21 @@ def filter_links(candidates: Sequence[LinkCandidate]) -> list[LinkCandidate]:
 
 
 def _status(cand: LinkCandidate, facts: catalog.LinkFactStore) -> str:
-    if cand.g not in facts.known_genera:
+    source = (1, 2 * cand.g - 2)
+    # The genus bound g <= 12, g != 11 is read off the catalog, not derived:
+    # the source must be one of its rho = 1 index-1 entries.
+    if source not in facts.chi:
         return "excluded:genus-bound"
-    source = f"fano-g{cand.g}"
-    target = cand.target.subject_id()
-    if source in facts.rational_subjects and target in facts.irrational_subjects:
+    target = cand.target.fano()
+    if source in facts.rational and target in facts.irrational:
         return "excluded:rationality"
     rule = facts.geometric_rules.get((cand.center, cand.fbar))
     if cand.birational and rule is not None:
         return f"excluded:geometric:{rule}"
     if cand.ctype in ("B1", "B2"):
-        chi_x = facts.chi.get(source)
+        chi_x = facts.chi[source]
         chi_y = facts.chi.get(target)
-        if chi_x is not None and chi_y is not None:
+        if chi_y is not None:
             if cand.ctype == "B1":
                 # B1 admits only deg_z >= 1 and always sets genus_z
                 z: CurveCenter | PointCenter = CurveCenter(cand.target.deg_z, cand.target.genus_z)
@@ -407,7 +407,8 @@ def _status(cand: LinkCandidate, facts: catalog.LinkFactStore) -> str:
 
 # --- Picard-number-2 primitive enumeration -------------------------------
 
-RAY2_ORDER = {"D1": 0, "D2": 1, "D3": 2, "C1": 3, "C2": 4, "B2": 5, "B3/B4": 6, "B5": 7}
+# the second-ray types in the order RAY_TYPE lists them
+RAY2_ORDER = list(dict.fromkeys(tag for lins in RAY_TYPE.values() for tag in lins.values()))
 
 
 @dataclass(frozen=True)
@@ -439,7 +440,7 @@ def rho2_primitive_enumerate(bound: int = 8) -> list[Rho2Solution]:
             sol = _rho2_trial(d, a, b, q2)
             if sol is not None:
                 sols.append(sol)
-    sols.sort(key=lambda s: (s.antik_cube, RAY2_ORDER[s.ray2], s.d))
+    sols.sort(key=lambda s: (s.antik_cube, RAY2_ORDER.index(s.ray2), s.d))
     return sols
 
 

@@ -145,13 +145,12 @@ def double_cover_antik_power(
     ky_coeff: int,
     half_branch_coeff: int,
     h_power: Fraction | int,
-    dim: int = 3,
 ) -> Fraction:
-    """(-K_X)^dim of a double cover f: X -> Y branched in B, via
+    """(-K_X)^3 of a double cover f: X -> Y of threefolds branched in B, via
     K_X = f^*(K_Y + B/2).
 
-    Inputs are coefficients against an ample class H on Y with H^dim =
+    Inputs are coefficients against an ample class H on Y with H^3 =
     h_power: -K_Y = ky_coeff * H and B = 2 * half_branch_coeff * H, so
-    (-K_X)^dim = 2 * (ky_coeff - half_branch_coeff)^dim * h_power.
+    (-K_X)^3 = 2 * (ky_coeff - half_branch_coeff)^3 * h_power.
     """
-    return 2 * Fraction(ky_coeff - half_branch_coeff) ** dim * Fraction(h_power)
+    return 2 * (ky_coeff - half_branch_coeff) ** 3 * Fraction(h_power)

@@ -148,11 +148,14 @@ def test_base_point_and_hyperelliptic_flags(cat):
 
 def test_link_facts_shape():
     facts = catalog.link_facts()
-    assert facts.known_genera == frozenset({2, 3, 4, 5, 6, 7, 8, 9, 10, 12})
-    assert facts.chi["fano-g12"] == 4
-    assert facts.chi["p3"] == 4
-    assert "v3" in facts.irrational_subjects
-    assert "fano-g7" in facts.rational_subjects
+    # the rho = 1 entries keyed by (index, (-K)^3); index 1 gives the genera
+    genera = sorted(cube // 2 + 1 for iota, cube in facts.chi if iota == 1)
+    assert genera == [2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
+    assert len(facts.chi) == 7 + 10  # P^3, Q, V1..V5 and one key per genus
+    assert facts.chi[(1, 22)] == 4  # g = 12
+    assert facts.chi[(4, 64)] == 4  # P^3
+    assert facts.irrational == {(2, 24)}  # V3
+    assert (1, 12) in facts.rational  # g = 7
     assert facts.geometric_rules == {("point", (2, 1)): "double-anticanonical-minus-center-empty"}
     # one rule per (center, fbar): a repeated key would silently replace a rule
     assert len(facts.geometric_rules) == len(catalog.load().geometric_exclusions)

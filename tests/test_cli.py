@@ -122,6 +122,14 @@ def test_link_rejects_bad_genus_input(genus_args, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_intersect_leading_minus_needs_the_equals_form(capsys):
+    # argparse reads a separate value that starts with '-' as a flag
+    classes = "-M+2F,3F,M,M"
+    assert run(["scroll", "--weights", "2,2,1,1", f"--intersect={classes}"]) == (0, "-3\n")
+    assert run(["scroll", "--weights", "2,2,1,1", "--intersect", classes]) == (2, "")
+    assert "argument --intersect: expected one argument" in capsys.readouterr().err
+
+
 def test_blowup_flag_on_small_cube():
     code, text = run(["blowup", "--antik-cube", "8", "--point"])
     assert code == 0

@@ -75,7 +75,8 @@ def test_confirmed_b1_candidates_match_far_side_blowup(center):
         iota = c.target.iota_y
         if iota == 1:
             continue  # iota = 1 targets have no fundamental divisor M to blow up in
-        form = mf_blowup_form(c.target.subject_id(), c.target.deg_z, c.target.genus_z)
+        (target,) = [e for e in CATALOG.list(rho=1) if (e.index, e.antik_cube) == c.target.fano()]
+        form = mf_blowup_form(target.id, c.target.deg_z, c.target.genus_z)
         a_m = c.mbar[0]
         kbar = cls2(Basis.MF, iota, -1)
         ebar = cls2(Basis.MF, c.fbar[0], -a_m)  # Ebar = (a_m*iota - 1) M - a_m F

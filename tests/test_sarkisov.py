@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from fano3.exactcore import Basis, cls2, eval_form, form2
 from fano3.sarkisov import (
     RAY2_ORDER,
     RAY_TYPE,
+    TargetInvariants,
     _point_blowdown_box,
     _ray_cube,
     _ray_trials,
@@ -58,6 +60,45 @@ def test_ray_type_table_is_mori_mukai():
             assert RAY_TYPE.get(q2, {}).get(lin) == expected, (q2, lin)
             if expected is not None:  # D^3 = 0 for a fibration, 4/k for a point blowdown
                 assert _ray_cube(q2, lin) == (Fraction(4, lin) if q2 == -2 else 0)
+
+
+def test_point_blowdown_target_cube():
+    # -K_Y pulls back to -K + (k/2)Fbar, and on (-K, Fbar) the form is
+    # (k3, k, -2, 4/k), so (-K_Y)^3 = k3 + k^2/2 with no other input
+    for k in (1, 2, 4):
+        for k3 in range(1, 41):
+            form = form2(Basis.KE, k3, k, -2, Fraction(4, k))
+            pullback = cls2(Basis.KE, 1, Fraction(k, 2))
+            assert eval_form(form, pullback, pullback, pullback) == k3 + Fraction(k * k, 2)
+
+
+# --- catalog identity -------------------------------------------------------
+
+def test_statuses_do_not_depend_on_catalog_names(monkeypatch):
+    # the filter matches source and target by (index, (-K)^3), so renaming
+    # every entry and fact subject changes no status
+    def statuses():
+        return {center: [(c.g, c.ctype, c.fbar, c.status) for c in enumerate_links(center, range(2, 41))]
+                for center in ("line", "conic", "point")}
+
+    before = statuses()
+    cat = catalog.load()
+    renamed = dataclasses.replace(
+        cat,
+        entries=tuple(dataclasses.replace(e, id=f"renamed-{e.id}") for e in cat.entries),
+        facts=tuple(dataclasses.replace(f, subject=f"renamed-{f.subject}") for f in cat.facts),
+    )
+    monkeypatch.setattr(catalog, "load", lambda: renamed)
+    assert statuses() == before
+
+
+def test_point_blowdown_onto_index_two_has_catalog_facts():
+    # the target's degree d(Y) is not stored for a point blowdown, yet its
+    # (index, (-K)^3) still finds V3
+    target = TargetInvariants("fano-point-blowdown", k=4, iota_y=2, antik_cube_y=24)
+    assert target.fano() == (2, 24)
+    assert target.fano() in catalog.link_facts().chi
+    assert TargetInvariants("conic-bundle", discriminant_degree=5).fano() is None
 
 
 # --- the three case lists, frozen from the enumeration -------------------
@@ -318,7 +359,7 @@ def _rho2_grid_scan(bound):
                     sol = _rho2_trial(d, a, b, q2)
                     if sol is not None:
                         sols.append(sol)
-    sols.sort(key=lambda s: (s.antik_cube, RAY2_ORDER[s.ray2], s.d))
+    sols.sort(key=lambda s: (s.antik_cube, RAY2_ORDER.index(s.ray2), s.d))
     return sols
 
 
