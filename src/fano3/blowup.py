@@ -9,12 +9,8 @@ cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
 
-from fano3.exactcore import Basis, TrilinearForm, form2
-
-Rat = Union[int, Fraction]
+from fano3.exactcore import Basis, Rat, TrilinearForm, form2
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ class FactRecord:
 
 @dataclass(frozen=True)
 class Catalog:
-    schema_version: int
     entries: tuple[CatalogEntry, ...]
     facts: tuple[FactRecord, ...]
     geometric_exclusions: tuple[dict, ...]
@@ -98,7 +97,6 @@ def load() -> Catalog:
     )
     facts = tuple(FactRecord(f["subject"], f["predicate"], f["value"]) for f in raw["facts"])
     return Catalog(
-        schema_version=raw["schema_version"],
         entries=entries,
         facts=facts,
         geometric_exclusions=tuple(raw["geometric_exclusions"]),

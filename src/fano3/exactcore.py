@@ -44,25 +44,6 @@ class DivisorClass:
         if len(self.coords) != 2:
             raise BasisError(f"a class has 2 coordinates, got {len(self.coords)}")
 
-    def _check(self, other: "DivisorClass") -> None:
-        if self.basis is not other.basis:
-            raise BasisError(f"basis mismatch: {self.basis} vs {other.basis}")
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check(other)
-        return DivisorClass(self.basis, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check(other)
-        return DivisorClass(self.basis, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __rmul__(self, scalar: Rat) -> "DivisorClass":
-        s = Fraction(scalar)
-        return DivisorClass(self.basis, tuple(s * a for a in self.coords))
-
-    def __neg__(self) -> "DivisorClass":
-        return -1 * self
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
 

@@ -72,10 +72,6 @@ class HilbertPolynomial:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, t: Rat) -> Fraction:
         tt = Fraction(t)
         acc = Fraction(0)
@@ -139,16 +135,6 @@ def h0_fundamental(fn: FanoNumerics) -> int:
     if chi1 != value:
         raise ArithmeticError(f"section count {value} disagrees with chi(1) = {chi1}")
     return value
-
-
-def surface_h0(d: int, iota: int, t: int) -> int:
-    """dim H^0 of O(tH) on a del Pezzo surface of degree d: d*t*(t+iota)/2 + 1."""
-    if t < 0 or d < 1:
-        raise ValueError("need t >= 0 and d >= 1")
-    val = Fraction(d * t * (t + iota), 2) + 1
-    if val.denominator != 1:
-        raise ParityError("non-integral section count; check d, iota parity")
-    return int(val)
 
 
 def threefold_h0_index1(g: int, t: int) -> int:

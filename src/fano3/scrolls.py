@@ -6,7 +6,6 @@ Top intersections use M^m = sum(d_i), M^(m-1).F = 1, and F.F = 0.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -71,26 +70,6 @@ def scroll_intersection(s: ScrollData, classes: Sequence[DivisorClass]) -> Fract
 def scroll_canonical(s: ScrollData) -> DivisorClass:
     """K = -m M + (sum d_i - 2) F."""
     return cls2(Basis.MF, -s.rank, s.degree - 2)
-
-
-class DegreeBound(enum.Enum):
-    BELOW_BOUND = "BelowBound"
-    MINIMAL = "Minimal"
-    ABOVE = "Above"
-
-
-def minimal_degree_check(deg: int, ambient_dim: int, var_dim: int) -> DegreeBound:
-    """Compare deg with codim + 1.  Presumes a nondegenerate variety: the
-    bound deg >= codim + 1 only holds when X lies in no hyperplane, which
-    this arithmetic check cannot verify."""
-    if deg < 1 or var_dim < 1 or ambient_dim <= var_dim:
-        raise ValueError("need deg >= 1 and ambient_dim > var_dim >= 1")
-    bound = (ambient_dim - var_dim) + 1
-    if deg < bound:
-        return DegreeBound.BELOW_BOUND
-    if deg == bound:
-        return DegreeBound.MINIMAL
-    return DegreeBound.ABOVE
 
 
 def _splittings(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -103,14 +103,9 @@ class CiInvariants:
 
     dim: int
     index: int
-    fundamental_degree: Fraction
+    antik_power: Fraction  # (-K)^dim
     genus: int | None
-    warnings: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def antik_power(self) -> Fraction:
-        """(-K)^dim."""
-        return self.fundamental_degree * self.index**self.dim
+    warnings: tuple[str, ...]
 
 
 def ci_fano_invariants(spec: CompleteIntersectionSpec) -> CiInvariants:
@@ -128,7 +123,6 @@ def ci_fano_invariants(spec: CompleteIntersectionSpec) -> CiInvariants:
         raise NotFano(f"sum(degrees) = {sum(degs)} >= sum(weights) = {w.total}")
     dim = w.dim - len(degs)
     antik = Fraction(iota**dim * math.prod(degs), w.product)
-    fundamental = antik / iota**dim
     warnings = []
     if w.dim < 4:
         warnings.append("ambient dimension < 4: index via Lefschetz not guaranteed")
@@ -138,7 +132,7 @@ def ci_fano_invariants(spec: CompleteIntersectionSpec) -> CiInvariants:
     genus = None
     if dim == 3 and iota == 1 and integral and int(antik) % 2 == 0:
         genus = int(antik) // 2 + 1
-    return CiInvariants(dim, iota, fundamental, genus, tuple(warnings))
+    return CiInvariants(dim, iota, antik, genus, tuple(warnings))
 
 
 def double_cover_antik_power(

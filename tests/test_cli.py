@@ -1,10 +1,13 @@
 import ast
+import collections
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tokenize
 
 import pytest
 from hypothesis import example, given, settings
@@ -98,6 +101,20 @@ def test_scroll_case_list_output(argv, expected):
     assert run(argv) == (0, expected)
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["scroll", "--weights", "2,1,1", "--h0", "--json"], '{"h0":7,"splitting":[2,1,1]}\n'),
+        (["wps", "--weights", "1,1,1,1,3", "--degrees", "6"],
+         "weights      [1, 1, 1, 1, 3]\nwell-formed  True\nnormalized   [1, 1, 1, 1, 3]\npic index    3\n"
+         "dim          3\nindex        1\n(-K)^dim     2\ngenus        2\n"),
+    ],
+    ids=["scroll-h0-json", "wps-genus-text"],
+)
+def test_weights_mode_output(argv, expected):
+    assert run(argv) == (0, expected)
+
+
 def test_usage_errors_exit_two():
     assert run(["nonsense"])[0] == 2
     assert run(["rr", "--dim", "3", "--index", "1"])[0] == 2  # neither degree nor genus
@@ -170,6 +187,13 @@ def test_repeated_runs_are_byte_identical():
          "--t must lie in -1000000..1000000"),
         (["scroll", "--hyperelliptic", "101"], "genus must be at most 100, got 101"),
         (["scroll", "--trigonal", "101", "--json"], "genus must be at most 100, got 101"),
+        (["rr", "--dim", "3", "--index", "7", "--degree", "1"], "need 1 <= iota <= n+1"),
+        (["rr", "--dim", "3", "--index", "1", "--degree", "0"], "degree must be positive"),
+        (["rr", "--dim", "3", "--index", "1", "--genus", "1"], "genus must be >= 2"),
+        (["scroll", "--weights", "2,-1", "--h0"], "splitting degrees must be >= 0"),
+        (["scroll", "--trigonal", "4"], "genus must be >= 5"),
+        (["scroll", "--weights", "2,1", "--intersect=3X,M"], "expects classes like 3M-4F,M-F"),
+        (["wps", "--weights", "1,1", "--degrees", "2"], "codimension must be < dim"),
     ],
 )
 def test_invalid_input_exits_two_with_message(argv, message, capsys):
@@ -309,6 +333,37 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "fano3").glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == set()
+
+
+# src names that only tests read: each is the independent route a test
+# checks a src result against
+REFERENCES = {
+    "pullback_form_curve",  # test_blowup.py::test_ke_form_agrees_with_pullback_expansion
+    "threefold_h0_index1",  # test_riemannroch.py::test_explicit_threefold_forms_match_polynomial
+    "threefold_h0_index2",  # test_riemannroch.py::test_explicit_threefold_forms_match_polynomial
+    "double_cover_antik_power",  # test_wps.py::test_hurwitz_double_cover_checks
+}
+
+
+def test_every_src_name_has_a_reader():
+    """Each top-level def, class and assignment in src/fano3 is named once
+    more, outside comments, in src/fano3, bench or scripts (the bench tracer
+    names the functions it wraps in strings)."""
+    words = collections.Counter()
+    top = []
+    for path in sorted(p for d in ("src/fano3", "bench", "scripts") for p in (ROOT / d).rglob("*.py")):
+        text = path.read_text()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type in (tokenize.NAME, tokenize.STRING):
+                words.update(re.findall(r"\w+", tok.string))
+        if path.parent.name == "fano3":
+            for node in ast.parse(text).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    top.append(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    top += [t.id for t in targets if isinstance(t, ast.Name)]
+    assert sorted(n for n in top if words[n] < 2) == sorted(REFERENCES)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))

@@ -61,6 +61,8 @@ def test_change_basis_rejects_bad_bases():
         change_basis(LINE_G12, [ke(1, -1), ke(2, -2)], Basis.MF)
     with pytest.raises(BasisError):
         change_basis(LINE_G12, [cls2(Basis.KE, Fraction(1, 2), 0), ke(0, 1)], Basis.MF)
+    with pytest.raises(BasisError, match="two basis vectors"):
+        change_basis(LINE_G12, [ke(1, 0)], Basis.MF)
 
 
 def test_basis_mismatch_raises():
@@ -92,7 +94,7 @@ def test_symmetry_under_all_permutations(f, d1, d2, d3):
 
 @given(forms, classes, classes, classes, rationals)
 def test_multilinearity_first_slot(f, d1, d2, d3, s):
-    lhs = eval_form(f, d1 + s * d2, d2, d3)
+    lhs = eval_form(f, ke(*(x + s * y for x, y in zip(d1.coords, d2.coords))), d2, d3)
     rhs = eval_form(f, d1, d2, d3) + s * eval_form(f, d2, d2, d3)
     assert lhs == rhs
 
@@ -117,5 +119,6 @@ def test_change_basis_commutes_with_evaluation(mat, f, x, y, z):
     lhs = eval_form(
         g, cls2(Basis.MF, *x), cls2(Basis.MF, *y), cls2(Basis.MF, *z)
     )
-    mapped = [x[0] * u + x[1] * v, y[0] * u + y[1] * v, z[0] * u + z[1] * v]
+    # p[0]*u + p[1]*v, coordinate by coordinate
+    mapped = [ke(*(p[0] * s + p[1] * t for s, t in zip(u.coords, v.coords))) for p in (x, y, z)]
     assert lhs == eval_form(f, *mapped)

@@ -14,7 +14,6 @@ from fano3.riemannroch import (
     UnsupportedCoindex,
     h0_fundamental,
     hilbert_polynomial,
-    surface_h0,
     threefold_h0_index1,
     threefold_h0_index2,
 )
@@ -95,14 +94,6 @@ def test_genus_degree_roundtrip():
         FanoNumerics(3, 1, 7)
 
 
-@pytest.mark.parametrize(
-    "d,iota,t,expected",
-    [(4, 1, 2, 13), (7, 1, 0, 1), (1, 1, 1, 2), (3, 1, 1, 4)],
-)
-def test_surface_h0(d, iota, t, expected):
-    assert surface_h0(d, iota, t) == expected
-
-
 def test_explicit_threefold_forms_match_polynomial():
     for g in range(2, 13):
         chi = hilbert_polynomial(FanoNumerics.from_genus(3, g))
@@ -117,6 +108,8 @@ def test_explicit_threefold_forms_match_polynomial():
 def test_coindex_guard():
     with pytest.raises(UnsupportedCoindex):
         hilbert_polynomial(FanoNumerics(5, 1, 2))
+    with pytest.raises(UnsupportedCoindex):
+        h0_fundamental(FanoNumerics(5, 1, 2))
     with pytest.raises(UnsupportedCoindex):
         FanoNumerics(3, 2, 5).genus  # genus only in the coindex-3 case
 

@@ -10,7 +10,10 @@ from fano3.sarkisov import (
     RAY2_ORDER,
     RAY_TYPE,
     TargetInvariants,
+    _b1_candidates,
+    _integer_roots,
     _point_blowdown_box,
+    _ray_candidates,
     _ray_cube,
     _ray_trials,
     _rho2_trial,
@@ -246,7 +249,7 @@ def test_round_trip_through_eval_form():
                 assert eval_form(form, mbar, fbar, k) == t.deg_z
                 assert eval_form(form, fbar, fbar, k) == 2 * t.genus_z - 2
                 # (-K + Fbar)^2 . (-K) = (-K_Y)^3 = iota^3 d(Y)
-                kf = k + fbar
+                kf = cls2(Basis.KE, 1 + c.fbar[0], -c.fbar[1])
                 assert eval_form(form, kf, kf, k) == t.iota_y**3 * t.degree_y
             else:
                 assert eval_form(form, fbar, fbar, k) == -2
@@ -298,6 +301,45 @@ def test_solved_trials_cover_every_box_point():
                         k_hits[k] += 1
     assert fiber_hits == {("D", 1): 39, ("D", 2): 21, ("D", 3): 10, ("C", 1): 57, ("C", 2): 15}
     assert k_hits == {4: 14, 2: 7, 1: 3}
+
+
+# Synthetic (center, g, vals, trial) that each guard of _ray_candidates
+# rejects after every earlier check passed; without that guard the trial
+# comes out as a candidate.  vals = (k3, ke, kee, e3); q2 = (-K).Fbar^2 and
+# lin = (-K)^2.Fbar of Fbar = a(-K) - bE pick the type.  Below
+# EFFECTIVITY_NONEMPTY (g = 2) no m_cap is set.
+RAY_GUARDS = {
+    # B5 (q2 = -2, lin = 1) with b = 1: iota = b*lin/(2*mu) = 1/2 floors to
+    # 0, which the next line would divide by.
+    # No integral trial with iota > 4 passes the later checks, so this guard
+    # is never the only one that drops a trial.
+    "iota-range": ("line", 2, (2, 1, -2, 0), (1, 1)),
+    # B2 (q2 = -2, lin = 4), iota = 1, a_m = 3, (-K_Y)^3 = k3 + 8 = 0
+    "target-cube": ("line", 2, (-8, -12, -18, 0), (1, 1)),
+    # D2 (q2 = 0, lin = 8) has length 2, not b = 1
+    "length": ("line", 2, (10, 2, -6, 0), (1, 1)),
+    # B2 with b = 1 > m*a fails for m = 1 from EFFECTIVITY_STRICT (g = 7) on
+    "m-cap": ("line", 7, (2, -2, -8, 0), (1, 1)),
+    # D2 with b = 2: Ebar^3 = (4 + 12 - 36)/8 = -5/2
+    "ebar-integral": ("line", 2, (4, -2, -3, 0), (1, 2)),
+    # C1 (q2 = 2, lin = 2): Ebar^3 = 1 > E^3 = -2
+    "defect": ("line", 2, (1, -1, -1, -2), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("center,g,vals,trial", RAY_GUARDS.values(), ids=RAY_GUARDS)
+def test_ray_guard_drops_its_trial(center, g, vals, trial):
+    assert list(_ray_candidates(center, g, vals, [trial])) == []
+
+
+def test_b1_index_one_drops_odd_target_degree():
+    # a_m = 4: a_f = 3 and d(Y) = Mbar^2.(-K) = 16 - 5 = 11 is odd
+    assert list(_b1_candidates("line", 2, (1, 0, -5, -2), {1: [4]})) == []
+
+
+def test_integer_roots_need_a_square_discriminant():
+    assert _integer_roots(1, 0, -2) == []  # x^2 = 2
+    assert _integer_roots(1, 0, -4) == [2]
 
 
 # --- Euler propagation ------------------------------------------------------

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from fano3.exactcore import Basis, cls2
 from fano3.scrolls import (
     ArityError,
-    DegreeBound,
     ScrollData,
     hyperelliptic_candidates,
     mark_realized,
-    minimal_degree_check,
     scroll_canonical,
     scroll_h0,
     scroll_intersection,
@@ -51,6 +49,8 @@ def test_top_power_of_tautological_class():
 def test_wrong_arity():
     with pytest.raises(ArityError):
         scroll_intersection(ScrollData((1, 1, 1)), [mf(1, 0)] * 4)
+    with pytest.raises(ArityError, match="basis"):
+        scroll_intersection(ScrollData((1, 1)), [mf(1, 0), cls2(Basis.KE, 1, 0)])
 
 
 @pytest.mark.parametrize(
@@ -144,19 +144,3 @@ def test_canonical_times_tautological_identity():
                 val = scroll_intersection(s, [ks] + [mf(1, 0)] * (m - 1))
                 assert val == -m * s.degree + (s.degree - 2)
 
-
-@pytest.mark.parametrize(
-    "deg,ambient,vdim,expected",
-    [
-        (4, 5, 2, DegreeBound.MINIMAL),
-        (1, 3, 1, DegreeBound.BELOW_BOUND),
-        (5, 4, 3, DegreeBound.ABOVE),
-    ],
-)
-def test_minimal_degree_check(deg, ambient, vdim, expected):
-    assert minimal_degree_check(deg, ambient, vdim) is expected
-
-
-def test_anticanonical_image_of_hyperelliptic_is_minimal():
-    for g in range(3, 31):
-        assert minimal_degree_check(g - 1, g, 2) is DegreeBound.MINIMAL

@@ -42,6 +42,8 @@ def test_normalize_instances():
     w = normalize(WeightSystem((4, 6, 2, 1)))
     assert is_well_formed(w)
     assert normalize(w).weights == w.weights  # idempotent on the result
+    with pytest.raises(ValueError, match="well-formed"):
+        pic_index(WeightSystem((2, 2, 1)))
 
 
 @given(st.lists(st.integers(1, 30), min_size=2, max_size=6))
@@ -90,11 +92,11 @@ def test_fundamental_degree_of_weighted_models():
     inv1 = ci_fano_invariants(
         CompleteIntersectionSpec(WeightSystem((1, 1, 1, 2, 3)), (6,))
     )
-    assert inv1.fundamental_degree == 1
+    assert inv1.antik_power / inv1.index**3 == 1
     inv2 = ci_fano_invariants(
         CompleteIntersectionSpec(WeightSystem((1, 1, 1, 1, 2)), (4,))
     )
-    assert inv2.fundamental_degree == 2
+    assert inv2.antik_power / inv2.index**3 == 2
 
 
 def test_ordinary_complete_intersection_degenerates():
@@ -108,6 +110,8 @@ def test_ordinary_complete_intersection_degenerates():
 def test_not_fano_guard():
     with pytest.raises(NotFano):
         ci_fano_invariants(CompleteIntersectionSpec(WeightSystem((1, 1, 1, 1, 1)), (5,)))
+    with pytest.raises(ValueError, match="normalize the weight system first"):
+        ci_fano_invariants(CompleteIntersectionSpec(WeightSystem((2, 2, 2, 2, 1)), (2,)))
 
 
 def test_non_integral_degree_is_flagged_not_rejected():
