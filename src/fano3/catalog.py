@@ -56,7 +56,7 @@ class Catalog:
         for e in self.entries:
             if e.id == entry_id:
                 return e
-        raise KeyError(f"unknown catalog id {entry_id!r}")
+        raise ValueError(f"unknown catalog id {entry_id!r}")
 
     def list(
         self,

@@ -464,10 +464,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args, out)
-    except (ValueError, KeyError) as exc:
-        # str() of a KeyError is the repr of its message
-        message = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"fano3 {args.command}: error: {message}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"fano3 {args.command}: error: {exc}", file=sys.stderr)
         return 2
 
 

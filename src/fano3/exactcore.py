@@ -16,10 +16,6 @@ from typing import Sequence, Union
 Rat = Union[int, Fraction]
 
 
-class BasisError(ValueError):
-    """Mismatched or degenerate bases in a lattice operation."""
-
-
 class Basis(str, enum.Enum):
     # (-K, E) on the blowup; the working basis for all Sarkisov-link systems.
     KE = "KE"
@@ -28,7 +24,7 @@ class Basis(str, enum.Enum):
     # pullback basis (sigma^*A, E) on a blowup, before switching to (-K, E).
     SIGMA = "SIGMA"
 
-    def __str__(self) -> str:  # keeps CLI/JSON output compact
+    def __str__(self) -> str:  # "KE", not "Basis.KE", in the basis-mismatch message
         return self.value
 
 
@@ -42,7 +38,7 @@ class DivisorClass:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
         if len(self.coords) != 2:
-            raise BasisError(f"a class has 2 coordinates, got {len(self.coords)}")
+            raise ValueError(f"a class has 2 coordinates, got {len(self.coords)}")
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
@@ -62,7 +58,7 @@ class TrilinearForm:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
         if len(self.values) != 4:
-            raise BasisError(f"a form stores 4 values, got {len(self.values)}")
+            raise ValueError(f"a form stores 4 values, got {len(self.values)}")
 
     @property
     def not_big(self) -> bool:
@@ -84,7 +80,7 @@ def eval_form(
     classes = (d1, d2, d3)
     for d in classes:
         if d.basis is not form.basis:
-            raise BasisError(f"class in basis {d.basis} against form in {form.basis}")
+            raise ValueError(f"class in basis {d.basis} against form in {form.basis}")
     total = Fraction(0)
     for picks in itertools.product((0, 1), repeat=3):
         coeff = Fraction(1)
@@ -106,13 +102,13 @@ def change_basis(
     identically to the old form composed with the basis map.
     """
     if len(new_basis) != 2:
-        raise BasisError("change_basis needs two basis vectors")
+        raise ValueError("change_basis needs two basis vectors")
     u, v = new_basis
     if not (u.is_integral() and v.is_integral()):
-        raise BasisError("new basis vectors must have integer coordinates")
+        raise ValueError("new basis vectors must have integer coordinates")
     det = u.coords[0] * v.coords[1] - u.coords[1] * v.coords[0]
     if det == 0:
-        raise BasisError("new basis vectors are linearly dependent")
+        raise ValueError("new basis vectors are linearly dependent")
     vals = tuple(
         eval_form(form, *(u if i < 3 - k else v for i in range(3)))
         for k in range(4)

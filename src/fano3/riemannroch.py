@@ -16,14 +16,6 @@ from typing import Union
 Rat = Union[int, Fraction]
 
 
-class UnsupportedCoindex(ValueError):
-    """Requested invariants outside the coindex <= 3 regime."""
-
-
-class ParityError(ValueError):
-    """Degree/genus conversion with inconsistent parity."""
-
-
 @dataclass(frozen=True)
 class FanoNumerics:
     """dim n, index iota, degree d = H^n; genus only in the coindex-3 case."""
@@ -44,7 +36,7 @@ class FanoNumerics:
         if i == n and d != 2:
             raise ValueError("iota = n forces H^n = 2")
         if self.coindex == 3 and (d.denominator != 1 or int(d) % 2 != 0):
-            raise ParityError("coindex 3 needs even integral degree d = 2g-2")
+            raise ValueError("coindex 3 needs even integral degree d = 2g-2")
 
     @property
     def coindex(self) -> int:
@@ -53,7 +45,7 @@ class FanoNumerics:
     @property
     def genus(self) -> int:
         if self.coindex != 3:
-            raise UnsupportedCoindex("genus is defined only in coindex 3 (iota = n-2)")
+            raise ValueError("genus is defined only in coindex 3 (iota = n-2)")
         return int(self.degree) // 2 + 1
 
     @classmethod
@@ -93,7 +85,7 @@ def hilbert_polynomial(fn: FanoNumerics) -> HilbertPolynomial:
     n, iota, d = fn.dim, fn.index, fn.degree
     c = fn.coindex
     if c > 3:
-        raise UnsupportedCoindex(f"coindex {c} > 3 is outside the derivation")
+        raise ValueError(f"coindex {c} > 3 is outside the derivation")
     half = Fraction(iota, 2)
     # known roots at t = -1, ..., -(iota-1)
     poly = [Fraction(1)]
@@ -130,7 +122,7 @@ def h0_fundamental(fn: FanoNumerics) -> int:
     elif c == 3:
         value = n + fn.genus - 1
     else:
-        raise UnsupportedCoindex(f"coindex {c} > 3")
+        raise ValueError(f"coindex {c} > 3")
     chi1 = hilbert_polynomial(fn)(1)
     if chi1 != value:
         raise ArithmeticError(f"section count {value} disagrees with chi(1) = {chi1}")

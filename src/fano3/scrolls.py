@@ -13,10 +13,6 @@ from typing import Iterator, Optional, Sequence
 from fano3.exactcore import Basis, DivisorClass, cls2
 
 
-class ArityError(ValueError):
-    """Wrong number of classes for a top intersection."""
-
-
 @dataclass(frozen=True)
 class ScrollData:
     """Splitting type (d_1 >= d_2 >= ... >= d_m >= 0)."""
@@ -48,10 +44,10 @@ def scroll_intersection(s: ScrollData, classes: Sequence[DivisorClass]) -> Fract
     """Top intersection of rank(s) classes written in the (M, F) basis."""
     m = s.rank
     if len(classes) != m:
-        raise ArityError(f"need exactly {m} classes, got {len(classes)}")
+        raise ValueError(f"need exactly {m} classes, got {len(classes)}")
     for d in classes:
         if d.basis is not Basis.MF:
-            raise ArityError("classes must be in the (M, F) basis")
+            raise ValueError("classes must be in the (M, F) basis")
     a = [d.coords[0] for d in classes]
     b = [d.coords[1] for d in classes]
     all_m = Fraction(1)

@@ -13,10 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class NotFano(ValueError):
-    """sum(degrees) >= sum(weights): the complete intersection is not Fano."""
-
-
 @dataclass(frozen=True)
 class WeightSystem:
     weights: tuple[int, ...]
@@ -120,7 +116,7 @@ def ci_fano_invariants(spec: CompleteIntersectionSpec) -> CiInvariants:
         raise ValueError("normalize the weight system first")
     iota = w.total - sum(degs)
     if iota <= 0:
-        raise NotFano(f"sum(degrees) = {sum(degs)} >= sum(weights) = {w.total}")
+        raise ValueError(f"sum(degrees) = {sum(degs)} >= sum(weights) = {w.total}")
     dim = w.dim - len(degs)
     antik = Fraction(iota**dim * math.prod(degs), w.product)
     warnings = []

@@ -78,6 +78,8 @@ def test_anticanonical_cube_formulas():
         assert blowup_curve(2 * g - 2, CurveCenter(1, 0)).values[0] == 2 * g - 6
         assert blowup_curve(2 * g - 2, CurveCenter(2, 0)).values[0] == 2 * g - 8
     assert blowup_curve(8, CurveCenter(2, 1)).values[0] == 4
+    with pytest.raises(ValueError, match="genus must be >= 0"):
+        CurveCenter(1, -1)
 
 
 @settings(max_examples=200)

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import collections
 import io
 import json
@@ -194,6 +195,10 @@ def test_repeated_runs_are_byte_identical():
         (["scroll", "--trigonal", "4"], "genus must be >= 5"),
         (["scroll", "--weights", "2,1", "--intersect=3X,M"], "expects classes like 3M-4F,M-F"),
         (["wps", "--weights", "1,1", "--degrees", "2"], "codimension must be < dim"),
+        (["rr", "--dim", "3", "--index", "1", "--degree", "7"], "coindex 3 needs even integral degree d = 2g-2"),
+        (["rr", "--dim", "5", "--index", "1", "--degree", "2"], "coindex 5 > 3 is outside the derivation"),
+        (["wps", "--weights", "1,1,1,1,1", "--degrees", "5"], "sum(degrees) = 5 >= sum(weights) = 5"),
+        (["scroll", "--weights", "2,1,1", "--intersect", "M,F"], "need exactly 3 classes, got 2"),
     ],
 )
 def test_invalid_input_exits_two_with_message(argv, message, capsys):
@@ -333,6 +338,26 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "fano3").glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == set()
+
+
+def _error_type_departures(path):
+    """Classes a module derives from a builtin exception, and except clauses
+    naming KeyError: bad input is reported as a plain ValueError."""
+    exceptions = {k for k, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef):
+            if exceptions & {b.id for b in node.bases if isinstance(b, ast.Name)}:
+                found.append(f"line {node.lineno}: class {node.name}")
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            if "KeyError" in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}:
+                found.append(f"line {node.lineno}: except {ast.unparse(node.type)}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "fano3").glob("*.py")), ids=lambda p: p.name)
+def test_bad_input_is_a_plain_value_error(path):
+    assert _error_type_departures(path) == []
 
 
 # src names that only tests read: each is the independent route a test

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from fano3.riemannroch import (
     FanoNumerics,
-    ParityError,
-    UnsupportedCoindex,
     h0_fundamental,
     hilbert_polynomial,
     threefold_h0_index1,
@@ -90,7 +88,7 @@ def test_genus_degree_roundtrip():
     assert FanoNumerics(3, 1, 22).genus == 12
     assert FanoNumerics(3, 1, 2).genus == 2
     assert FanoNumerics.from_genus(3, 2).degree == 2
-    with pytest.raises(ParityError):
+    with pytest.raises(ValueError, match="coindex 3 needs even integral degree d = 2g-2"):
         FanoNumerics(3, 1, 7)
 
 
@@ -103,14 +101,18 @@ def test_explicit_threefold_forms_match_polynomial():
         chi = hilbert_polynomial(FanoNumerics(3, 2, d))
         for t in range(-1, 8):
             assert chi(t) == threefold_h0_index2(d, t)
+    with pytest.raises(ValueError, match="closed form is stated for t >= 0"):
+        threefold_h0_index1(12, -1)
+    with pytest.raises(ValueError, match="closed form is stated for t > -2"):
+        threefold_h0_index2(5, -2)
 
 
 def test_coindex_guard():
-    with pytest.raises(UnsupportedCoindex):
+    with pytest.raises(ValueError, match="coindex 5 > 3 is outside the derivation"):
         hilbert_polynomial(FanoNumerics(5, 1, 2))
-    with pytest.raises(UnsupportedCoindex):
+    with pytest.raises(ValueError, match="coindex 5 > 3"):
         h0_fundamental(FanoNumerics(5, 1, 2))
-    with pytest.raises(UnsupportedCoindex):
+    with pytest.raises(ValueError, match=r"genus is defined only in coindex 3 \(iota = n-2\)"):
         FanoNumerics(3, 2, 5).genus  # genus only in the coindex-3 case
 
 

@@ -339,6 +339,7 @@ def test_b1_index_one_drops_odd_target_degree():
 
 def test_integer_roots_need_a_square_discriminant():
     assert _integer_roots(1, 0, -2) == []  # x^2 = 2
+    assert _integer_roots(1, 0, 4) == []  # x^2 = -4
     assert _integer_roots(1, 0, -4) == [2]
 
 

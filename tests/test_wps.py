@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from fano3.wps import (
     CompleteIntersectionSpec,
-    NotFano,
     WeightSystem,
     ci_fano_invariants,
     double_cover_antik_power,
@@ -108,7 +107,7 @@ def test_ordinary_complete_intersection_degenerates():
 
 
 def test_not_fano_guard():
-    with pytest.raises(NotFano):
+    with pytest.raises(ValueError, match=r"sum\(degrees\) = 5 >= sum\(weights\) = 5"):
         ci_fano_invariants(CompleteIntersectionSpec(WeightSystem((1, 1, 1, 1, 1)), (5,)))
     with pytest.raises(ValueError, match="normalize the weight system first"):
         ci_fano_invariants(CompleteIntersectionSpec(WeightSystem((2, 2, 2, 2, 1)), (2,)))
