@@ -80,12 +80,10 @@ class Catalog:
         return out
 
     def facts_for(self, subject: str) -> list[FactRecord]:
-        out = [f for f in self.facts if f.subject == subject]
-        for e in self.entries:
-            if e.id == subject:
-                out.append(FactRecord(subject, "EulerNumber", e.chi_top))
-                break
-        return out
+        """The recorded facts of one entry plus its Euler number; every fact
+        subject is a catalog id, so an unknown subject raises as by_id does."""
+        euler = FactRecord(subject, "EulerNumber", self.by_id(subject).chi_top)
+        return [f for f in self.facts if f.subject == subject] + [euler]
 
 
 @lru_cache(maxsize=1)
@@ -164,7 +162,7 @@ def verify(entry: CatalogEntry) -> list[CheckResult]:
             target = load().by_id(bl["of"])
             center = CurveCenter(target.index * bl["deg"], bl["genus"])
             predicted = blowup_curve(target.antik_cube, center).values[0]
-            add(f"blowdown-consistency-{i}", predicted, Fraction(entry.antik_cube))
+            add(f"blowdown-consistency-{i}", predicted, entry.antik_cube)
     return checks
 
 

@@ -38,7 +38,7 @@ def _emit(out, payload: Any, as_json: bool, table: str) -> None:
         out.write(table + "\n")
 
 
-def _frac_str(x: Fraction) -> str:
+def _frac_str(x: int | Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -97,7 +97,8 @@ def _cmd_blowup(args, out) -> int:
     table = "\n".join(f"{n:10s} {_frac_str(v)}" for n, v in zip(names, form.values))
     if form.not_big:
         table += "\nflag: anticanonical class not big"
-    payload = {"center": center, "basis": "KE", "values": list(form.values), "not_big": form.not_big}
+    values = [Fraction(v) for v in form.values]  # rational in the JSON contract
+    payload = {"center": center, "basis": "KE", "values": values, "not_big": form.not_big}
     _emit(out, payload, args.json, table)
     return 0
 
@@ -224,8 +225,8 @@ def candidate_payload(c: sarkisov.LinkCandidate) -> dict:
         "mbar": list(c.mbar),
         "fbar": list(c.fbar),
         "target": {k: v for k, v in dataclasses.asdict(c.target).items() if v is not None},
-        "ebar_cube": c.ebar_cube,
-        "defect": c.defect,
+        "ebar_cube": Fraction(c.ebar_cube),
+        "defect": Fraction(c.defect),
         "status": c.status,
         "m_cap": c.m_cap,
     }

@@ -1,8 +1,8 @@
 """Exact trilinear intersection forms on rank-2 lattices.
 
 A form stores the four monomial values (e1^3, e1^2*e2, e1*e2^2, e2^3) on a
-named ordered basis; everything else is multilinear expansion over exact
-rationals.
+named ordered basis, as given: integer values stay int.  Everything else is
+multilinear expansion over exact rationals.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ class TrilinearForm:
     """Symmetric 3-form stored by its values (e1^3, e1^2*e2, e1*e2^2, e2^3)."""
 
     basis: Basis
-    values: tuple[Fraction, ...]
+    values: tuple[Rat, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
         if len(self.values) != 4:
             raise ValueError(f"a form stores 4 values, got {len(self.values)}")
 

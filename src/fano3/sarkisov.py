@@ -94,8 +94,8 @@ class LinkCandidate:
     mbar: tuple[int, int]
     fbar: tuple[int, int]  # (a, b): Mbar for the fiber types, where mbar == fbar
     target: TargetInvariants
-    ebar_cube: Fraction
-    defect: Fraction
+    ebar_cube: int
+    defect: int
     status: str = "candidate"
     m_cap: Optional[int] = None
 
@@ -132,10 +132,10 @@ def _m_cap(center: Center, g: int, a: int, b: int, birational: bool) -> Optional
     return (b - 1) // a if (birational and g >= EFFECTIVITY_STRICT[center]) else b // a
 
 
-def _ray_cube(q2: int, lin: int) -> Fraction:
+def _ray_cube(q2: int, lin: int) -> int:
     """D^3 of a ray class of type RAY_TYPE[q2][lin]: 0 for the fibrations,
-    4/k for a point blowdown."""
-    return Fraction(4, lin) if q2 < 0 else Fraction(0)
+    4/k for a point blowdown, an integer as every k in RAY_TYPE divides 4."""
+    return 4 // lin if q2 < 0 else 0
 
 
 def _ray_candidates(
@@ -184,8 +184,8 @@ def _ray_candidates(
         m_cap = _m_cap(center, g, a, b, birational=q2 < 0)
         if m_cap == 0:
             continue
-        ebar = (k3 * a**3 - 3 * a * a * b * ke + 3 * a * b * b * kee - cube) / b**3
-        if ebar.denominator != 1:
+        ebar, rem = divmod(k3 * a**3 - 3 * a * a * b * ke + 3 * a * b * b * kee - cube, b**3)
+        if rem:
             continue
         defect = e3 - ebar
         if defect < 0:
@@ -254,7 +254,7 @@ def _b1_candidates(
             if m_cap == 0:
                 continue
             # Mbar^3 = d(Y)
-            ebar = Fraction(k3 * a_m**3 - 3 * a_m * a_m * ke + 3 * a_m * kee - d)
+            ebar = k3 * a_m**3 - 3 * a_m * a_m * ke + 3 * a_m * kee - d
             defect = e3 - ebar
             if defect < 0:
                 continue
@@ -317,8 +317,7 @@ def _point_blowdown_box(vals: tuple[int, ...], bound: int) -> Iterable[tuple[int
 
 def _enumerate_cell(center: Center, g: int, bound: int) -> list[LinkCandidate]:
     """One cell's candidates: from the solved trials, or with bound >= 1 the box."""
-    # integral for the index-1 sources here, so the trials run on int
-    vals = tuple(int(v) for v in midpoint_form(center, g).values)
+    vals = midpoint_form(center, g).values
     if vals[0] <= 0:
         return []
     if bound:
@@ -436,20 +435,20 @@ def rho2_primitive_enumerate(bound: int = 8) -> list[Rho2Solution]:
     for d in range(0, 12):
         if d in (1, 2):
             continue  # a non-empty discriminant curve has degree >= 3
-        for a, b, q2 in _rho2_trials(d, bound):
-            sol = _rho2_trial(d, a, b, q2)
+        # (a, b) = (i/s, j/s): the grid has step 1/2 on the C2 side, else step 1
+        s = 2 if d == 0 else 1
+        for i, j, q2 in _rho2_trials(d, s, bound):
+            sol = _rho2_trial(d, s, i, j, q2)
             if sol is not None:
                 sols.append(sol)
     sols.sort(key=lambda s: (s.antik_cube, RAY2_ORDER.index(s.ray2), s.d))
     return sols
 
 
-def _rho2_trials(d: int, bound: int) -> list[tuple[Fraction, Fraction, int]]:
-    """Every (a, b, q2) with a, b on the grid up to bound that can pass
-    _rho2_trial, in (a, b) order, systems in RAY_TYPE order.  b runs over
-    its grid, which the caller's bound makes finite; a is solved from b."""
-    # (a, b) = (i/s, j/s): the grid has step 1/2 on the C2 side, else step 1
-    s = 2 if d == 0 else 1
+def _rho2_trials(d: int, s: int, bound: int) -> list[tuple[int, int, int]]:
+    """Every (i, j, q2) with (a, b) = (i/s, j/s) up to bound that can pass
+    _rho2_trial, in (i, j) order, systems in RAY_TYPE order.  j runs over
+    its grid, which the caller's bound makes finite; i is solved from j."""
     coef = 12 - d
     trials = []
     for j in range(1, bound * s + 1):
@@ -466,32 +465,30 @@ def _rho2_trials(d: int, bound: int) -> list[tuple[Fraction, Fraction, int]]:
                 if den > 0 and num % den == 0 and num // den <= bound * s:
                     trials.append((num // den, j, q2))
     trials.sort(key=lambda t: t[:2])
-    return [(Fraction(i, s), Fraction(j, s), q2) for i, j, q2 in trials]
+    return trials
 
 
-def _rho2_trial(d: int, a: Fraction, b: Fraction, q2: int) -> Optional[Rho2Solution]:
-    """The solution at one grid point (a, b) with (-K).D^2 = q2 for
-    discriminant degree d, or None."""
+def _rho2_trial(d: int, s: int, i: int, j: int, q2: int) -> Optional[Rho2Solution]:
+    """The solution at one grid point (a, b) = (i/s, j/s) with (-K).D^2 = q2
+    for discriminant degree d, or None."""
     coef = 12 - d
-    k3 = (q2 + 2 * coef * a * b - 2 * b * b) / (a * a)
-    if k3 < 2 or k3.denominator != 1 or int(k3) % 2:
+    k3, rem = divmod(q2 * s * s + 2 * coef * i * j - 2 * j * j, i * i)
+    if rem or k3 < 2 or k3 % 2:
         return None
-    k3 = int(k3)
-    lin = k3 * a - coef * b  # (-K)^2.D
-    if lin.denominator != 1 or int(lin) not in RAY_TYPE[q2]:
+    lin, rem = divmod(k3 * i - coef * j, s)  # (-K)^2.D
+    if rem or lin not in RAY_TYPE[q2]:
         return None
-    lin = int(lin)
-    if k3 * a**3 - 3 * coef * a * a * b + 6 * a * b * b != _ray_cube(q2, lin):  # D^3
+    if k3 * i**3 - 3 * coef * i * i * j + 6 * i * j * j != s**3 * _ray_cube(q2, lin):  # s^3 D^3
         return None
-    ray1, ray2, g = RAY_TYPE[2][12 - d], RAY_TYPE[q2][lin], k3 // 2 + 1
     if q2 < 0:  # blowup of a point, D the exceptional divisor
-        return Rho2Solution(ray1, ray2, d, None, lin, g, a, b, k3)
-    if q2 > 0:
+        d_prime, k = None, lin
+    elif q2 > 0:
         if d < 12 - lin:
             return None  # symmetric pair already listed from the other side
-        return Rho2Solution(ray1, ray2, d, 12 - lin, None, g, a, b, k3)
-    # D is primitive iff gcd(i, j) = 1 for (a, b) = (i/s, j/s) on the grid
-    s = 2 if d == 0 else 1
-    if math.gcd(int(a * s), int(b * s)) != 1:
-        return None
-    return Rho2Solution(ray1, ray2, d, lin, None, g, a, b, k3)
+        d_prime, k = 12 - lin, None
+    elif math.gcd(i, j) != 1:
+        return None  # D = (i(-K) - jM)/s is primitive iff gcd(i, j) = 1
+    else:
+        d_prime, k = lin, None
+    ray1, ray2, g = RAY_TYPE[2][12 - d], RAY_TYPE[q2][lin], k3 // 2 + 1
+    return Rho2Solution(ray1, ray2, d, d_prime, k, g, Fraction(i, s), Fraction(j, s), k3)

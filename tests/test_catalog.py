@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -80,7 +82,10 @@ def test_facts_for(cat):
     g7 = {f.predicate: f.value for f in cat.facts_for("fano-g7")}
     assert g7["Rational"] is True
     assert g7["EulerNumber"] == -10
-    assert cat.facts_for("unknown-subject") == []
+    # every fact subject is an entry, so an unknown subject is an error
+    assert {f.subject for f in cat.facts} <= {e.id for e in cat.entries}
+    with pytest.raises(ValueError, match="unknown catalog id 'unknown-subject'"):
+        cat.facts_for("unknown-subject")
 
 
 def test_chi_identity_everywhere(cat):
@@ -112,6 +117,19 @@ def test_blowdown_consistency_of_imprimitive_tables(cat):
             assert form.values[0] == e.antik_cube
             seen += 1
     assert seen >= 27
+
+
+def test_blowdown_inconsistency_is_reported_on_integers(cat):
+    # (-K)^3 of the blowup of V3 along an elliptic cubic is 12; a table entry
+    # shifted to 14 fails the check, which compares integers
+    entry = dataclasses.replace(cat.by_id("rho2-impb-v3"), antik_cube=14)
+    results = {r.check: r for r in catalog.verify(entry)}
+    failed = results["blowdown-consistency-0"]
+    assert not failed.passed
+    assert (type(failed.lhs), type(failed.rhs)) == (int, int)
+    assert (failed.lhs, failed.rhs) == (12, 14)
+    # chi(iota) is a value of the Hilbert polynomial, so it stays rational
+    assert type(results["h0-anticanonical"].lhs) is Fraction
 
 
 def test_imprimitive_h12_matches_blowup_bookkeeping(cat):

@@ -1,11 +1,13 @@
 import ast
 import builtins
 import collections
+import dataclasses
 import io
 import json
 import os
 import pathlib
 import re
+import runpy
 import subprocess
 import sys
 import tokenize
@@ -66,6 +68,33 @@ def test_catalog_verify_all_exit_zero():
     code, text = run(["catalog", "verify", "--all"])
     assert code == 0
     assert "0 failures" in text
+
+
+def test_catalog_verify_failure_exits_three(monkeypatch):
+    from fano3 import catalog
+
+    cat = catalog.load()
+    shifted = dataclasses.replace(cat.by_id("rho2-impb-v3"), antik_cube=14)
+    entries = tuple(shifted if e.id == shifted.id else e for e in cat.entries)
+    monkeypatch.setattr(catalog, "load", lambda: dataclasses.replace(cat, entries=entries))
+    code, text = run(["catalog", "verify", "--all", "--json"])
+    assert code == 3
+    payload = json.loads(text)
+    assert payload["checks"] == len(catalog.verify_all())
+    failure = {"entry_id": "rho2-impb-v3", "check": "blowdown-consistency-0", "passed": False,
+               "lhs": 12, "rhs": 14}
+    assert failure in payload["failures"]
+
+
+def test_reproduce_script_runs_every_command():
+    script = ROOT / "scripts" / "reproduce_classification.py"
+    commands = runpy.run_path(str(script))["COMMANDS"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    headers = [line for line in done.stdout.splitlines() if line.startswith("== fano3")]
+    assert len(commands) == 14
+    assert headers == [" ".join(["== fano3", *argv]) for argv in commands]
 
 
 def test_catalog_facts():
@@ -199,6 +228,7 @@ def test_repeated_runs_are_byte_identical():
         (["rr", "--dim", "5", "--index", "1", "--degree", "2"], "coindex 5 > 3 is outside the derivation"),
         (["wps", "--weights", "1,1,1,1,1", "--degrees", "5"], "sum(degrees) = 5 >= sum(weights) = 5"),
         (["scroll", "--weights", "2,1,1", "--intersect", "M,F"], "need exactly 3 classes, got 2"),
+        (["catalog", "facts", "nope"], "error: unknown catalog id 'nope'"),
     ],
 )
 def test_invalid_input_exits_two_with_message(argv, message, capsys):

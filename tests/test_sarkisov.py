@@ -1,10 +1,13 @@
 import dataclasses
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
 from fano3 import catalog
 from fano3.blowup import CurveCenter, PointCenter
+from fano3.cli import main
 from fano3.exactcore import Basis, cls2, eval_form, form2
 from fano3.sarkisov import (
     RAY2_ORDER,
@@ -17,6 +20,7 @@ from fano3.sarkisov import (
     _ray_cube,
     _ray_trials,
     _rho2_trial,
+    _rho2_trials,
     enumerate_links,
     euler_propagate,
     midpoint_form,
@@ -343,6 +347,26 @@ def test_integer_roots_need_a_square_discriminant():
     assert _integer_roots(1, 0, -4) == [2]
 
 
+def test_solvers_carry_int():
+    # the link and rho-2 solvers run on int; the link JSON still declares
+    # Ebar^3 and the defect rational
+    for center in ("line", "conic", "point"):
+        assert all(type(v) is int for g in range(2, 61) for v in midpoint_form(center, g).values)
+        for bound in (0, 60):
+            cands = enumerate_links(center, range(2, 61), search_bound=bound)
+            assert cands
+            assert all(type(c.ebar_cube) is int and type(c.defect) is int for c in cands)
+    for d in (0, *range(3, 12)):
+        trials = _rho2_trials(d, 2 if d == 0 else 1, 16)
+        assert all(type(x) is int for trial in trials for x in trial)
+    out = io.StringIO()
+    argv = ["link", "--center", "point", "--genus-range", "8..13", "--show-excluded", "--json"]
+    assert main(argv, out=out) == 0
+    rows = json.loads(out.getvalue())
+    assert rows
+    assert all(set(row["ebar_cube"]) == set(row["defect"]) == {"num", "den"} for row in rows)
+
+
 # --- Euler propagation ------------------------------------------------------
 
 def test_euler_values_from_catalog_targets():
@@ -391,15 +415,15 @@ def test_rho2_primitive_solutions():
 
 
 def _rho2_grid_scan(bound):
-    # the brute-force oracle: every grid point (a, b) up to bound
+    # the brute-force oracle: every grid point (a, b) = (i/s, j/s) up to bound
     sols = []
     for d in (0, *range(3, 12)):
-        step = Fraction(1, 2) if d == 0 else Fraction(1)
-        grid = [step * i for i in range(1, int(bound / step) + 1)]
-        for a in grid:
-            for b in grid:
+        s = 2 if d == 0 else 1
+        grid = range(1, bound * s + 1)
+        for i in grid:
+            for j in grid:
                 for q2 in RAY_TYPE:
-                    sol = _rho2_trial(d, a, b, q2)
+                    sol = _rho2_trial(d, s, i, j, q2)
                     if sol is not None:
                         sols.append(sol)
     sols.sort(key=lambda s: (s.antik_cube, RAY2_ORDER.index(s.ray2), s.d))
