@@ -141,7 +141,7 @@ def _cmd_scroll(args, out) -> int:
         for c in scrolls.mark_realized(make(genus), catalog.realized_scrolls(kind, genus)):
             row = {"splitting": list(c.scroll.splitting), "status": c.status, "entry": c.realized_as}
             if kind == "hyperelliptic":
-                row["branch"] = list(c.branch_class.coords)
+                row["branch"] = [Fraction(v) for v in c.branch_class.coords]
             else:
                 row.update(witness=c.witness, witness_k=c.witness_k)
             rows.append(row)
@@ -160,13 +160,13 @@ def _cmd_scroll(args, out) -> int:
         k = scrolls.scroll_canonical(s)
         _emit(
             out,
-            {"splitting": list(s.splitting), "canonical": list(k.coords)},
+            {"splitting": list(s.splitting), "canonical": [Fraction(v) for v in k.coords]},
             args.json,
             f"K = {_frac_str(k.coords[0])} M + {_frac_str(k.coords[1])} F",
         )
     else:
         value = scrolls.scroll_intersection(s, args.intersect)
-        _emit(out, {"splitting": list(s.splitting), "value": value}, args.json, _frac_str(value))
+        _emit(out, {"splitting": list(s.splitting), "value": Fraction(value)}, args.json, _frac_str(value))
     return 0
 
 

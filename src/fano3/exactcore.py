@@ -1,14 +1,14 @@
 """Exact trilinear intersection forms on rank-2 lattices.
 
 A form stores the four monomial values (e1^3, e1^2*e2, e1*e2^2, e2^3) on a
-named ordered basis, as given: integer values stay int.  Everything else is
-multilinear expansion over exact rationals.
+named ordered basis, and a class its two coordinates; both keep their values
+as given, so integer data stays int.  Everything else is multilinear
+expansion over exact rationals.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -33,10 +33,9 @@ class DivisorClass:
     """Exact coefficient vector in a declared ordered basis."""
 
     basis: Basis
-    coords: tuple[Fraction, ...]
+    coords: tuple[Rat, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
         if len(self.coords) != 2:
             raise ValueError(f"a class has 2 coordinates, got {len(self.coords)}")
 
@@ -74,20 +73,19 @@ def eval_form(
     d1: DivisorClass,
     d2: DivisorClass,
     d3: DivisorClass,
-) -> Fraction:
+) -> Rat:
     """Full trilinear expansion of d1.d2.d3 over the stored monomial values."""
-    classes = (d1, d2, d3)
-    for d in classes:
+    for d in (d1, d2, d3):
         if d.basis is not form.basis:
             raise ValueError(f"class in basis {d.basis} against form in {form.basis}")
-    total = Fraction(0)
-    for picks in itertools.product((0, 1), repeat=3):
-        coeff = Fraction(1)
-        for d, i in zip(classes, picks):
-            coeff *= d.coords[i]
-        if coeff:
-            total += coeff * form.values[sum(picks)]
-    return total
+    (a1, b1), (a2, b2), (a3, b3) = d1.coords, d2.coords, d3.coords
+    v0, v1, v2, v3 = form.values
+    return (
+        a1 * a2 * a3 * v0
+        + (a1 * a2 * b3 + a1 * b2 * a3 + b1 * a2 * a3) * v1
+        + (a1 * b2 * b3 + b1 * a2 * b3 + b1 * b2 * a3) * v2
+        + b1 * b2 * b3 * v3
+    )
 
 
 def change_basis(

@@ -6,11 +6,12 @@ Top intersections use M^m = sum(d_i), M^(m-1).F = 1, and F.F = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from fano3.exactcore import Basis, DivisorClass, cls2
+from fano3.exactcore import Basis, DivisorClass, Rat, cls2
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ def scroll_h0(s: ScrollData) -> int:
     return sum(d + 1 for d in s.splitting)
 
 
-def scroll_intersection(s: ScrollData, classes: Sequence[DivisorClass]) -> Fraction:
+def scroll_intersection(s: ScrollData, classes: Sequence[DivisorClass]) -> Rat:
     """Top intersection of rank(s) classes written in the (M, F) basis."""
     m = s.rank
     if len(classes) != m:
@@ -50,17 +51,8 @@ def scroll_intersection(s: ScrollData, classes: Sequence[DivisorClass]) -> Fract
             raise ValueError("classes must be in the (M, F) basis")
     a = [d.coords[0] for d in classes]
     b = [d.coords[1] for d in classes]
-    all_m = Fraction(1)
-    for ai in a:
-        all_m *= ai
-    one_f = Fraction(0)
-    for j in range(m):
-        term = b[j]
-        for i in range(m):
-            if i != j:
-                term *= a[i]
-        one_f += term
-    return all_m * s.degree + one_f
+    # M^m and the m terms M^(m-1).F; a monomial with F twice vanishes
+    return math.prod(a) * s.degree + sum(b[j] * math.prod(a[:j] + a[j + 1:]) for j in range(m))
 
 
 def scroll_canonical(s: ScrollData) -> DivisorClass:
@@ -68,19 +60,20 @@ def scroll_canonical(s: ScrollData) -> DivisorClass:
     return cls2(Basis.MF, -s.rank, s.degree - 2)
 
 
-def _splittings(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Descending positive splittings of `total` into `parts` parts."""
-
-    def rec(budget: int, slots: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            if 1 <= budget <= cap:
-                yield (budget,)
-            return
-        for first in range(min(cap, budget - (slots - 1)), 0, -1):
-            for rest in rec(budget - first, slots - 1, first):
-                yield (first, *rest)
-
-    yield from rec(total, parts, total)
+def _splittings(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Descending positive splittings of `total` into `parts` >= 2 parts."""
+    # Grow every prefix by one part per round, largest first.  With `slots`
+    # parts still to place out of `budget`, the next part is at most the
+    # previous one and at least ceil(budget / slots); the last takes the rest.
+    rows: list[tuple[int, ...]] = [()]
+    for slots in range(parts, 1, -1):
+        grown = []
+        for row in rows:
+            budget = total - sum(row)
+            cap = min(row[-1] if row else total, budget - (slots - 1))
+            grown.extend(row + (first,) for first in range(cap, -(-budget // slots) - 1, -1))
+        rows = grown
+    return [row + (total - sum(row),) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,9 @@ def hyperelliptic_candidates(g: int) -> list[HyperellipticCandidate]:
     branch class 4M + 2(2 - sum d_i) F = (4, 2(3-g))."""
     if g < 2:
         raise ValueError("genus must be >= 2")
-    branch = cls2(Basis.MF, 4, 2 * (3 - g))
+    # Fraction, not int: the branch class is rational in the JSON contract,
+    # and the case-list payloads serialize these coordinates as they stand.
+    branch = cls2(Basis.MF, Fraction(4), Fraction(2 * (3 - g)))
     return [
         HyperellipticCandidate(ScrollData(sp), branch)
         for sp in _splittings(g - 1, 3)

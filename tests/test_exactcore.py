@@ -1,10 +1,14 @@
+import io
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fano3.blowup import CurveCenter, blowup_curve
+from fano3.cli import main
 from fano3.exactcore import (
     Basis,
     DivisorClass,
@@ -14,6 +18,7 @@ from fano3.exactcore import (
     eval_form,
     form2,
 )
+from fano3.scrolls import ScrollData, scroll_intersection
 
 # the (-K, E) form of the line blowup on the genus-12 threefold
 LINE_G12 = form2(Basis.KE, 18, 3, -2, 1)
@@ -99,6 +104,58 @@ def test_multilinearity_first_slot(f, d1, d2, d3, s):
 
 
 small_ints = st.integers(min_value=-4, max_value=4)
+int_classes = st.tuples(small_ints, small_ints).map(lambda t: cls2(Basis.KE, *t))
+int_forms = st.tuples(small_ints, small_ints, small_ints, small_ints).map(
+    lambda t: form2(Basis.KE, *t)
+)
+
+
+def _eval_form_expansion(form, d1, d2, d3):
+    # the reference: pick e1 or e2 from each slot, 8 monomials in all
+    total = Fraction(0)
+    for picks in itertools.product((0, 1), repeat=3):
+        coeff = Fraction(1)
+        for d, i in zip((d1, d2, d3), picks):
+            coeff *= d.coords[i]
+        total += coeff * form.values[sum(picks)]
+    return total
+
+
+@given(forms, classes, classes, classes)
+def test_closed_form_matches_expansion(f, d1, d2, d3):
+    assert eval_form(f, d1, d2, d3) == _eval_form_expansion(f, d1, d2, d3)
+
+
+@given(int_forms, int_classes, int_classes, int_classes)
+def test_closed_form_matches_expansion_on_integers(f, d1, d2, d3):
+    assert eval_form(f, d1, d2, d3) == _eval_form_expansion(f, d1, d2, d3)
+
+
+def test_exact_core_carries_int():
+    # integer data stays int through classes, forms, basis changes and scroll
+    # products; the scroll JSON still declares every class coefficient rational
+    assert all(type(c) is int for c in cls2(Basis.KE, 2, -1).coords)
+    assert type(eval_form(LINE_G12, ke(1, -1), ke(3, -4), ke(0, 1))) is int
+    g = change_basis(blowup_curve(22, CurveCenter(1, 0)), [ke(1, -1), ke(3, -4)], Basis.MF)
+    assert all(type(v) is int for v in g.values)
+    mf = [cls2(Basis.MF, 3, -4), cls2(Basis.MF, 1, -3), cls2(Basis.MF, 1, -1), cls2(Basis.MF, 1, -1)]
+    assert type(scroll_intersection(ScrollData((2, 2, 1, 1)), mf)) is int
+    assert type(eval_form(LINE_G12, ke(Fraction(1, 2), 0), ke(1, 0), ke(1, 0))) is Fraction
+
+    exact = cls2(Basis.MF, Fraction(4), Fraction(-2))
+    assert cls2(Basis.MF, 4, -2) == exact
+    assert hash(cls2(Basis.MF, 4, -2)) == hash(exact)
+
+    for argv, field in (
+        (["scroll", "--weights", "2,1,1", "--canonical", "--json"], "canonical"),
+        (["scroll", "--hyperelliptic", "9", "--json"], "branch"),
+    ):
+        out = io.StringIO()
+        assert main(argv, out=out) == 0
+        payload = json.loads(out.getvalue())
+        rows = payload if isinstance(payload, list) else [payload]
+        assert rows
+        assert all(set(c) == {"num", "den"} for row in rows for c in row[field])
 
 
 @given(

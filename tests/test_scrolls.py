@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fano3.exactcore import Basis, cls2
 from fano3.scrolls import (
     ScrollData,
+    _splittings,
     hyperelliptic_candidates,
     mark_realized,
     scroll_canonical,
@@ -50,6 +51,26 @@ def test_wrong_arity():
         scroll_intersection(ScrollData((1, 1, 1)), [mf(1, 0)] * 4)
     with pytest.raises(ValueError, match=r"classes must be in the \(M, F\) basis"):
         scroll_intersection(ScrollData((1, 1)), [mf(1, 0), cls2(Basis.KE, 1, 0)])
+
+
+def _splittings_recursive(total, parts):
+    # the reference: choose the largest part, then split the rest below it
+    def rec(budget, slots, cap):
+        if slots == 1:
+            if 1 <= budget <= cap:
+                yield (budget,)
+            return
+        for first in range(min(cap, budget - (slots - 1)), 0, -1):
+            for rest in rec(budget - first, slots - 1, first):
+                yield (first, *rest)
+
+    return list(rec(total, parts, total))
+
+
+def test_splittings_match_recursive_reference():
+    for parts in range(2, 6):
+        for total in range(70):
+            assert _splittings(total, parts) == _splittings_recursive(total, parts), (parts, total)
 
 
 @pytest.mark.parametrize(
