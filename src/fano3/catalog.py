@@ -119,7 +119,11 @@ def _fano_genus(entry: CatalogEntry) -> int:
 
 
 def verify(entry: CatalogEntry) -> list[CheckResult]:
-    """Run every applicable identity on one entry; failures are data."""
+    """Run every applicable identity on one entry; failures are data.
+
+    Never raises on out-of-range values: a check whose inputs are out of
+    range still runs and fails with lhs None.
+    """
     from fano3.blowup import CurveCenter, blowup_curve
     from fano3.riemannroch import FanoNumerics, hilbert_polynomial
 
@@ -128,12 +132,15 @@ def verify(entry: CatalogEntry) -> list[CheckResult]:
     def add(name: str, lhs: Any, rhs: Any) -> None:
         checks.append(CheckResult(entry.id, name, lhs == rhs, lhs, rhs))
 
-    iota = entry.index
-    add("index-range", 1 <= iota <= 4, True)
+    iota, cube = entry.index, entry.antik_cube
+    index_ok = 1 <= iota <= 4
+    add("index-range", index_ok, True)
     if iota == 1:
-        add("genus-degree", entry.antik_cube, 2 * (entry.genus or 0) - 2)
+        add("genus-degree", cube, 2 * (entry.genus or 0) - 2)
+    elif not index_ok:
+        add("genus-degree", None, (0, True))
     else:
-        d, rem = divmod(entry.antik_cube, iota**3)
+        d, rem = divmod(cube, iota**3)
         add("genus-degree", (rem, d >= 1), (0, True))
         if iota == 4:
             add("degree-top-index", d, 1)
@@ -144,11 +151,14 @@ def verify(entry: CatalogEntry) -> list[CheckResult]:
     add("chi-top", entry.chi_top, 2 + 2 * entry.rho - 2 * entry.h12)
     add("kc2", entry.kc2, 24)
     if entry.rho == 1:
-        add("degree-bound-rho1", entry.antik_cube <= 72, True)
-    # h^0(-K) = g + 2 via the Hilbert polynomial at t = iota
-    fund = Fraction(entry.antik_cube, iota**3)
-    h0 = hilbert_polynomial(FanoNumerics(3, iota, fund))(iota)
-    add("h0-anticanonical", h0, entry.antik_cube // 2 + 3)
+        add("degree-bound-rho1", cube <= 72, True)
+    # h^0(-K) = g + 2 via the Hilbert polynomial at t = iota, on the degrees
+    # that FanoNumerics(3, iota, cube / iota^3) accepts
+    if index_ok and cube > 0 and {1: cube % 2 == 0, 2: True, 3: cube == 54, 4: cube == 64}[iota]:
+        h0 = hilbert_polynomial(FanoNumerics(3, iota, Fraction(cube, iota**3)))(iota)
+        add("h0-anticanonical", Fraction(h0), cube // 2 + 3)  # rational in the JSON contract
+    else:
+        add("h0-anticanonical", None, cube // 2 + 3)
     if entry.hyperplane_section is not None:
         hs = entry.hyperplane_section
         add("noether-hyperplane-section", hs["k2"] + hs["rho"], 10)

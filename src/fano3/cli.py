@@ -44,8 +44,9 @@ def _frac_str(x: int | Fraction) -> str:
 
 # --- rr -------------------------------------------------------------------
 
-# hilbert_polynomial costs about dim^2 exact operations (0.1 s at dim 100),
-# and chi(t) grows like t^dim
+# hilbert_polynomial costs about dim^2 integer operations (3.5 ms at dim 100,
+# 9 ms for a whole rr call at t = 10^6, on a 2-vCPU Xeon VM); the cap bounds
+# chi(t), which grows like t^dim
 RR_MAX_DIM = 100
 RR_MAX_T = 10**6
 # the trigonal case list has O(g^3) rows (659 kB of JSON at genus 100), the
@@ -73,7 +74,7 @@ def _cmd_rr(args, out) -> int:
         "index": args.index,
         "degree": fn.degree,
         "t": args.t,
-        "value": value,
+        "value": Fraction(value),  # rational in the JSON contract
         "coefficients": list(chi.coeffs),
         "h0_fundamental": riemannroch.h0_fundamental(fn),
     }

@@ -36,6 +36,8 @@ class DivisorClass:
     coords: tuple[Rat, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.coords, tuple):  # a list would break == and hash
+            object.__setattr__(self, "coords", tuple(self.coords))
         if len(self.coords) != 2:
             raise ValueError(f"a class has 2 coordinates, got {len(self.coords)}")
 
@@ -55,6 +57,8 @@ class TrilinearForm:
     values: tuple[Rat, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.values, tuple):  # a list would break == and hash
+            object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != 4:
             raise ValueError(f"a form stores 4 values, got {len(self.values)}")
 

@@ -57,23 +57,31 @@ class FanoNumerics:
 
 @dataclass(frozen=True)
 class HilbertPolynomial:
-    """chi(t) with exact coefficients, ascending degree, length n+1."""
+    """chi(t) = sum(num[k] t^k) / den, ascending degree, length n+1, in
+    lowest terms with den > 0."""
 
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The exact coefficients, ascending degree."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
-    def __call__(self, t: Rat) -> Fraction:
-        tt = Fraction(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * tt + c
-        return acc
+    def __call__(self, t: Rat) -> Rat:
+        # Horner on t = a/b, homogenized: sum num[k] a^k b^(n-k) over den b^n
+        a, b = t.numerator, t.denominator
+        acc, bk = 0, 1
+        for c in reversed(self.num):
+            acc = acc * a + c * bk
+            bk *= b
+        den = self.den * bk // b
+        q, r = divmod(acc, den)
+        return q if r == 0 else Fraction(acc, den)
 
 
-def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
@@ -81,29 +89,36 @@ def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
 
 
 def hilbert_polynomial(fn: FanoNumerics) -> HilbertPolynomial:
-    """chi(O(tH)) for coindex <= 3, built from the symmetric root pattern."""
-    n, iota, d = fn.dim, fn.index, fn.degree
+    """chi(O(tH)) for coindex <= 3, built from the symmetric root pattern.
+
+    chi(t) = (d/n!) (t+1)...(t+iota-1) Q(t) with d = p/q, where Q carries the
+    remaining roots, symmetric about t = -iota/2 and fixed by chi(0) = 1:
+    1, (2t + iota)/2, (p t^2 + p iota t + n(n-1) q)/p and
+    (2t + iota)(p t^2 + p iota t + 2n(n-1) q)/(2p) for coindex 0..3.  The
+    product is built on integer numerators over one common denominator.
+    """
+    n, iota = fn.dim, fn.index
+    p, q = fn.degree.numerator, fn.degree.denominator
     c = fn.coindex
     if c > 3:
         raise ValueError(f"coindex {c} > 3 is outside the derivation")
-    half = Fraction(iota, 2)
     # known roots at t = -1, ..., -(iota-1)
-    poly = [Fraction(1)]
+    poly = [1]
     for k in range(1, iota):
-        poly = _poly_mul(poly, [Fraction(k), Fraction(1)])
-    if c == 1:
-        poly = _poly_mul(poly, [half, Fraction(1)])
+        poly = _poly_mul(poly, [k, 1])
+    # rest / rest_den = p Q(t); the factor p clears Q's 1/p in coindex 2 and 3
+    if c == 0:
+        rest, rest_den = [p], 1
+    elif c == 1:
+        rest, rest_den = [p * iota, 2 * p], 2
     elif c == 2:
-        # (t + iota/2)^2 + s with s fixed by chi(0) = 1
-        s = Fraction(n * (n - 1), 1) / d - half**2
-        poly = _poly_mul(poly, [half**2 + s, 2 * half, Fraction(1)])
-    elif c == 3:
-        a = Fraction(2 * n * (n - 1), 1) / d - half**2
-        poly = _poly_mul(poly, [half, Fraction(1)])
-        poly = _poly_mul(poly, [half**2 + a, 2 * half, Fraction(1)])
-    lead = d / Fraction(math.factorial(n))
-    coeffs = tuple(lead * v for v in poly)
-    chi = HilbertPolynomial(coeffs)
+        rest, rest_den = [n * (n - 1) * q, p * iota, p], 1
+    else:
+        rest, rest_den = _poly_mul([iota, 2], [2 * n * (n - 1) * q, p * iota, p]), 2
+    num = _poly_mul(poly, rest)
+    den = q * math.factorial(n) * rest_den
+    g = math.gcd(den, *num)
+    chi = HilbertPolynomial(tuple(v // g for v in num), den // g)
     if chi(0) != 1:
         raise ArithmeticError("normalization chi(0) = 1 failed")
     return chi

@@ -132,6 +132,39 @@ def test_blowdown_inconsistency_is_reported_on_integers(cat):
     assert type(results["h0-anticanonical"].lhs) is Fraction
 
 
+@pytest.mark.parametrize(
+    "field,value,failed",
+    [
+        ("index", 0, {"index-range", "genus-degree", "h0-anticanonical"}),
+        ("index", 5, {"index-range", "genus-degree", "h0-anticanonical"}),
+        ("antik_cube", 13, {"genus-degree", "h0-anticanonical"}),
+    ],
+)
+def test_out_of_range_inputs_fail_as_data(cat, field, value, failed):
+    # an index outside 1..4 or an odd index-1 (-K)^3 has no Hilbert
+    # polynomial; verify returns the same checks and fails those with no lhs
+    entry = cat.by_id("fano-g7")
+    results = catalog.verify(dataclasses.replace(entry, **{field: value}))
+    assert [r.check for r in results] == [r.check for r in catalog.verify(entry)]
+    assert {r.check for r in results if not r.passed} == failed
+    assert {r.check: r for r in results}["h0-anticanonical"].lhs is None
+
+
+def test_verify_returns_on_every_single_field_mutant(cat):
+    fields = ("index", "antik_cube", "genus", "h12", "chi_top", "kc2", "h0_tangent", "moduli_dim", "rho")
+    seen = 0
+    for entry in cat.entries:
+        for field in fields:
+            value = getattr(entry, field)
+            if value is None:
+                continue
+            for delta in (-2, -1, 1, 2):
+                results = catalog.verify(dataclasses.replace(entry, **{field: value + delta}))
+                assert results and all(r.entry_id == entry.id for r in results)
+                seen += 1
+    assert seen > 1000
+
+
 def test_imprimitive_h12_matches_blowup_bookkeeping(cat):
     # h12 of a curve blowup is h12 of the base plus the genus of the center
     for e in cat.entries:

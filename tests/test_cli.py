@@ -52,6 +52,27 @@ def test_rr_json_value():
     assert payload["h0_fundamental"] == 7
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--index", "4", "--degree", "1"],
+        ["--index", "3", "--degree", "2"],
+        ["--index", "2", "--degree", "5"],
+        ["--index", "1", "--genus", "12"],
+    ],
+    ids=["coindex0", "coindex1", "coindex2", "coindex3"],
+)
+def test_rr_json_declares_rationals_on_integer_values(argv):
+    # chi(2) is an integer, and still a {"num", "den"} object as declared
+    code, text = run(["rr", "--dim", "3", *argv, "--t", "2", "--json"])
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["value"]["den"] == "1"
+    for v in [payload["degree"], payload["value"], *payload["coefficients"]]:
+        assert set(v) == {"num", "den"}
+    assert len(payload["coefficients"]) == 4
+
+
 def test_link_single_genus_json():
     code, text = run(["link", "--center", "line", "--genus", "9", "--json"])
     assert code == 0

@@ -158,6 +158,16 @@ def test_exact_core_carries_int():
         assert all(set(c) == {"num", "den"} for row in rows for c in row[field])
 
 
+def test_list_built_values_equal_their_tuple_twins():
+    # the containers are normalized to tuples, so == and hash see the values
+    cls = DivisorClass(Basis.KE, [1, 2])
+    assert cls == cls2(Basis.KE, 1, 2)
+    assert hash(cls) == hash(cls2(Basis.KE, 1, 2))
+    form = TrilinearForm(Basis.KE, [1, 2, 3, 4])
+    assert form == form2(Basis.KE, 1, 2, 3, 4)
+    assert hash(form) == hash(form2(Basis.KE, 1, 2, 3, 4))
+
+
 @given(
     st.tuples(small_ints, small_ints, small_ints, small_ints).filter(
         lambda t: abs(t[0] * t[3] - t[1] * t[2]) in (1, 2)

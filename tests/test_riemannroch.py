@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -124,6 +125,60 @@ valid_numerics = st.one_of(
     ),
     st.integers(2, 40).map(lambda g: FanoNumerics.from_genus(3, g)),
 )
+
+
+def _fraction_hilbert_coeffs(fn):
+    """The polynomial built directly in Fraction arithmetic, as a test oracle."""
+    n, iota, d = fn.dim, fn.index, fn.degree
+    half = Fraction(iota, 2)
+
+    def mul(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    poly = [Fraction(1)]
+    for k in range(1, iota):
+        poly = mul(poly, [Fraction(k), Fraction(1)])
+    if fn.coindex == 1:
+        poly = mul(poly, [half, Fraction(1)])
+    elif fn.coindex == 2:
+        s = Fraction(n * (n - 1), 1) / d - half**2
+        poly = mul(poly, [half**2 + s, 2 * half, Fraction(1)])
+    elif fn.coindex == 3:
+        a = Fraction(2 * n * (n - 1), 1) / d - half**2
+        poly = mul(poly, [half, Fraction(1)])
+        poly = mul(poly, [half**2 + a, 2 * half, Fraction(1)])
+    lead = d / Fraction(math.factorial(n))
+    return tuple(lead * v for v in poly)
+
+
+def _assert_matches_oracle(fn, t):
+    chi = hilbert_polynomial(fn)
+    coeffs = _fraction_hilbert_coeffs(fn)
+    assert chi.coeffs == coeffs
+    value = chi(t)
+    assert type(value) is int
+    assert value == sum(c * t**k for k, c in enumerate(coeffs))
+    half = Fraction(2 * t + 1, 2)
+    assert chi(half) == sum(c * half**k for k, c in enumerate(coeffs))
+
+
+@given(valid_numerics, st.integers(-10, 10))
+def test_integer_construction_matches_fraction_oracle(fn, t):
+    _assert_matches_oracle(fn, t)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [FanoNumerics(100, 101, 1), FanoNumerics(100, 100, 2), FanoNumerics(100, 99, 5),
+     FanoNumerics.from_genus(100, 12)],
+    ids=["coindex0", "coindex1", "coindex2", "coindex3"],
+)
+def test_integer_construction_matches_fraction_oracle_at_dim_100(fn):
+    _assert_matches_oracle(fn, 7)
 
 
 @given(valid_numerics, st.integers(-10, 10))
