@@ -169,7 +169,10 @@ def verify(entry: CatalogEntry) -> list[CheckResult]:
             add("tangent-deformation", h1, entry.moduli_dim)
     if entry.construction and "blowups" in entry.construction:
         for i, bl in enumerate(entry.construction["blowups"]):
-            target = load().by_id(bl["of"])
+            target = next((e for e in load().entries if e.id == bl["of"]), None)
+            if target is None or bl["deg"] < 1 or bl["genus"] < 0:
+                add(f"blowdown-consistency-{i}", None, entry.antik_cube)
+                continue
             center = CurveCenter(target.index * bl["deg"], bl["genus"])
             predicted = blowup_curve(target.antik_cube, center).values[0]
             add(f"blowdown-consistency-{i}", predicted, entry.antik_cube)

@@ -150,19 +150,33 @@ def test_out_of_range_inputs_fail_as_data(cat, field, value, failed):
     assert {r.check: r for r in results}["h0-anticanonical"].lhs is None
 
 
+def _with_first_blowup(entry, **changes):
+    blowups = entry.construction["blowups"]
+    construction = {**entry.construction, "blowups": [{**blowups[0], **changes}, *blowups[1:]]}
+    return dataclasses.replace(entry, construction=construction)
+
+
 def test_verify_returns_on_every_single_field_mutant(cat):
     fields = ("index", "antik_cube", "genus", "h12", "chi_top", "kc2", "h0_tangent", "moduli_dim", "rho")
-    seen = 0
+    mutants = []
     for entry in cat.entries:
         for field in fields:
             value = getattr(entry, field)
-            if value is None:
-                continue
-            for delta in (-2, -1, 1, 2):
-                results = catalog.verify(dataclasses.replace(entry, **{field: value + delta}))
-                assert results and all(r.entry_id == entry.id for r in results)
-                seen += 1
-    assert seen > 1000
+            if value is not None:
+                mutants += [dataclasses.replace(entry, **{field: value + d}) for d in (-2, -1, 1, 2)]
+        if entry.construction and "blowups" in entry.construction:
+            bl = entry.construction["blowups"][0]
+            mutants.append(_with_first_blowup(entry, of="nope"))
+            for d in (-2, -1, 1, 2):
+                mutants.append(_with_first_blowup(entry, deg=bl["deg"] + d))
+                mutants.append(_with_first_blowup(entry, genus=bl["genus"] + d))
+    assert len(mutants) > 1800
+    for mutant in mutants:
+        results = catalog.verify(mutant)
+        assert results and all(r.entry_id == mutant.id for r in results)
+    # an unknown blowdown target fails its own check, with no lhs
+    failed = [r for r in catalog.verify(_with_first_blowup(cat.by_id("rho2-impb-v3"), of="nope")) if not r.passed]
+    assert [(r.check, r.lhs) for r in failed] == [("blowdown-consistency-0", None)]
 
 
 def test_imprimitive_h12_matches_blowup_bookkeeping(cat):
