@@ -69,6 +69,9 @@ def _cmd_rr(args, out) -> int:
         fn = riemannroch.FanoNumerics(args.dim, args.index, args.degree)
     chi = riemannroch.hilbert_polynomial(fn)
     value = chi(args.t)
+    h0 = riemannroch.h0_fundamental(fn)
+    if chi(1) != h0:  # the closed form against the polynomial
+        raise ArithmeticError(f"section count {h0} disagrees with chi(1) = {chi(1)}")
     payload = {
         "dim": args.dim,
         "index": args.index,
@@ -76,7 +79,7 @@ def _cmd_rr(args, out) -> int:
         "t": args.t,
         "value": Fraction(value),  # rational in the JSON contract
         "coefficients": list(chi.coeffs),
-        "h0_fundamental": riemannroch.h0_fundamental(fn),
+        "h0_fundamental": h0,
     }
     _emit(out, payload, args.json, _frac_str(value))
     return 0
@@ -256,7 +259,10 @@ def _candidate_row(c: sarkisov.LinkCandidate) -> str:
 def _cmd_link(args, out) -> int:
     from fano3 import sarkisov
 
-    genera = [args.genus] if args.genus is not None else args.genus_range
+    if args.genus is not None:
+        genera = [args.genus]
+    else:  # no genus above the cap has a candidate, so the range may be any width
+        genera = range(args.genus_range.start, min(args.genus_range.stop, sarkisov.GENUS_CAP + 1))
     cands = sarkisov.enumerate_links(args.center, genera)
     if not args.show_excluded:
         cands = [c for c in cands if c.confirmed]

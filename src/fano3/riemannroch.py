@@ -2,8 +2,7 @@
 
 The polynomial is pinned down by its known integer roots t = -1..-(iota-1),
 the symmetry chi(-iota-t) = (-1)^n chi(t), the leading term d*t^n/n!, and
-chi(0) = 1.  Explicit threefold closed forms are provided alongside as an
-independent route.
+chi(0) = 1.  h0_fundamental gives the section count chi(1) in closed form.
 """
 
 from __future__ import annotations
@@ -125,37 +124,17 @@ def hilbert_polynomial(fn: FanoNumerics) -> HilbertPolynomial:
 
 
 def h0_fundamental(fn: FanoNumerics) -> int:
-    """dim H^0(O(H)) = n+1, n+2, n+d-1, n+g-1 for coindex 0, 1, 2, 3."""
+    """dim H^0(O(H)) = n+1, n+2, n+d-1, n+g-1 for coindex 0, 1, 2, 3, in
+    closed form; a caller holding chi checks it against chi(1)."""
     n, d = fn.dim, fn.degree
     c = fn.coindex
     if c == 0:
-        value = n + 1
-    elif c == 1:
-        value = n + 2
-    elif c == 2:
-        value = n + int(d) - 1
-    elif c == 3:
-        value = n + fn.genus - 1
-    else:
-        raise ValueError(f"coindex {c} > 3")
-    chi1 = hilbert_polynomial(fn)(1)
-    if chi1 != value:
-        raise ArithmeticError(f"section count {value} disagrees with chi(1) = {chi1}")
-    return value
+        return n + 1
+    if c == 1:
+        return n + 2
+    if c == 2:
+        return n + int(d) - 1
+    if c == 3:
+        return n + fn.genus - 1
+    raise ValueError(f"coindex {c} > 3")
 
-
-def threefold_h0_index1(g: int, t: int) -> int:
-    """(g-1) t (t+1) (2t+1) / 6 + 2t + 1, valid for t >= 0."""
-    if t < 0:
-        raise ValueError("closed form is stated for t >= 0")
-    return (g - 1) * t * (t + 1) * (2 * t + 1) // 6 + 2 * t + 1
-
-
-def threefold_h0_index2(d: int, t: int) -> int:
-    """t (t+2) (2t+2) d / 12 + t + 1, valid for t > -2."""
-    if t <= -2:
-        raise ValueError("closed form is stated for t > -2")
-    val = Fraction(t * (t + 2) * (2 * t + 2) * d, 12) + t + 1
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integral section count {val}")
-    return int(val)

@@ -56,6 +56,19 @@ POINT_SINGULARITY = {
 EFFECTIVITY_NONEMPTY = {"line": 6, "conic": 8, "point": 9}
 EFFECTIVITY_STRICT = {center: g + 1 for center, g in EFFECTIVITY_NONEMPTY.items()}
 
+# No solved trial exists above this genus, so the default path skips those
+# cells.  The midpoint (k3, ke, kee) is (2g - 6, 3, -2), (2g - 8, 4, -2) and
+# (2g - 10, 4, -2) on the line, conic and point, with k3 > 0 where solved.
+# - D and C (q2 = 0, 2 and lin <= 9, 12): the identity in _ray_trials with
+#   b >= 1 gives k3*(2 + q2) <= lin^2 - ke^2.
+# - B2..B5 (q2 = -2 and lin <= 4 < 2*ke): the same identity leaves b = 1 and
+#   lin = ke, and a = 2*ke/k3 then gives k3 <= 2*ke.
+# - B1 onto iota >= 2: k3*a^2 = 2*ke*a + 2 + iota*d (_b1_trials) with a >= 1
+#   and iota*d <= 10 (B1_DEGREES) gives k3 <= 2*ke + 12.
+# - B1 onto iota = 1: _b1_trials gives none from EFFECTIVITY_STRICT on.
+# So k3 <= 36 on the line and 32 on the conic and the point: g <= 21, 20, 21.
+GENUS_CAP = 21
+
 
 @dataclass(frozen=True)
 class TargetInvariants:
@@ -316,7 +329,10 @@ def _point_blowdown_box(vals: tuple[int, ...], bound: int) -> Iterable[tuple[int
 
 
 def _enumerate_cell(center: Center, g: int, bound: int) -> list[LinkCandidate]:
-    """One cell's candidates: from the solved trials, or with bound >= 1 the box."""
+    """One cell's candidates: from the solved trials, or with bound >= 1 the box,
+    which scans every genus it is given."""
+    if not bound and g > GENUS_CAP:
+        return []
     vals = midpoint_form(center, g).values
     if vals[0] <= 0:
         return []
@@ -340,9 +356,10 @@ def enumerate_links(
     (g, type, fbar).
 
     With the default search_bound=0 the trial coefficients are the solutions
-    of each contraction type's defining equations, so no box is scanned.
-    With search_bound=N >= 1 they are every coefficient in 1..N instead: the
-    brute-force oracle the tests compare the solve against."""
+    of each contraction type's defining equations, so no box is scanned, and
+    no genus above GENUS_CAP is visited.  With search_bound=N >= 1 they are
+    every coefficient in 1..N instead, at every genus given: the brute-force
+    oracle the tests compare the solve against."""
     if search_bound < 0:
         raise ValueError(f"search_bound must be >= 0, got {search_bound}")
     genera = sorted(set(int(g) for g in g_range))
@@ -415,21 +432,28 @@ class Rho2Solution:
     """One primitive rho=2 solution: conic bundle with discriminant degree d
     plus a second ray of the stated type."""
 
-    ray1: str
     ray2: str
     d: int
     d_prime: Optional[int]
     k: Optional[int]
-    g: int
     a: Fraction
     b: Fraction
     antik_cube: int
 
+    @property
+    def ray1(self) -> str:
+        return RAY_TYPE[2][12 - self.d]
+
+    @property
+    def g(self) -> int:
+        return self.antik_cube // 2 + 1
+
 
 def rho2_primitive_enumerate(bound: int = 8) -> list[Rho2Solution]:
-    """All solutions with a, b <= bound of the three second-ray systems on a
+    """The solutions with a, b <= bound of the three second-ray systems on a
     primitive rho=2 Fano threefold carrying a conic bundle with discriminant
-    degree d.  Half-integral (a, b) are admitted exactly on the C2 side
+    degree d.  Before that filter the list is complete, as _rho2_trials caps
+    b by argument.  Half-integral (a, b) are admitted exactly on the C2 side
     (d = 0)."""
     sols: list[Rho2Solution] = []
     for d in range(0, 12):
@@ -437,7 +461,9 @@ def rho2_primitive_enumerate(bound: int = 8) -> list[Rho2Solution]:
             continue  # a non-empty discriminant curve has degree >= 3
         # (a, b) = (i/s, j/s): the grid has step 1/2 on the C2 side, else step 1
         s = 2 if d == 0 else 1
-        for i, j, q2 in _rho2_trials(d, s, bound):
+        for i, j, q2 in _rho2_trials(d, s):
+            if max(i, j) > bound * s:
+                continue  # a row beyond the caller's bound
             sol = _rho2_trial(d, s, i, j, q2)
             if sol is not None:
                 sols.append(sol)
@@ -445,13 +471,24 @@ def rho2_primitive_enumerate(bound: int = 8) -> list[Rho2Solution]:
     return sols
 
 
-def _rho2_trials(d: int, s: int, bound: int) -> list[tuple[int, int, int]]:
-    """Every (i, j, q2) with (a, b) = (i/s, j/s) up to bound that can pass
-    _rho2_trial, in (i, j) order, systems in RAY_TYPE order.  j runs over
-    its grid, which the caller's bound makes finite; i is solved from j."""
+def _rho2_trials(d: int, s: int) -> list[tuple[int, int, int]]:
+    """Every (i, j, q2) with (a, b) = (i/s, j/s) that can pass _rho2_trial,
+    in (i, j) order, systems in RAY_TYPE order.  j runs up to the cap on b
+    below; i is solved from j."""
     coef = 12 - d
+    # The cap on b, for D = a(-K) - bM with (-K)^2.M = coef, (-K).M^2 = 2 and
+    # M^3 = 0, and lin = (-K)^2.D:
+    # - D and C rays: D^3 = 0 gives a = (q2 + 4b^2)/(coef*b), so
+    #   lin = coef*b*(2q2 + 2b^2)/(q2 + 4b^2) >= coef*b/2, and lin <= 12 in
+    #   RAY_TYPE: b <= 24/coef.
+    # - B rays: (-K).D^2 = -2, lin = k and D^3 = 4/k give, with w = 2/(k*a),
+    #   b = (1 + w)/sqrt(w) and coef = k*sqrt(w)*(2 + w).  For w <= 1,
+    #   coef <= 3k*sqrt(w), so b <= 2/sqrt(w) <= 6k/coef <= 24/coef.  For
+    #   w >= 1, coef/k <= 12 = sqrt(4)*(2 + 4) gives w <= 4, and b grows with
+    #   w there, so b <= 5/2.
+    j_cap = max(24 * s // coef, 5 * s // 2)
     trials = []
-    for j in range(1, bound * s + 1):
+    for j in range(1, j_cap + 1):
         for q2 in RAY_TYPE:  # D = a(-K) - bM with (-K).D^2 = q2
             if q2 == -2:
                 # kk = k3*a - coef*b with k3*a^2 from (-K).D^2 = -2 gives
@@ -462,7 +499,7 @@ def _rho2_trials(d: int, s: int, bound: int) -> list[tuple[int, int, int]]:
                 # q2 - coef*a*b + 4b^2 = 0
                 quotients = [(q2 * s * s + 4 * j * j, coef * j)]
             for num, den in quotients:  # i = num/den, where num > 0
-                if den > 0 and num % den == 0 and num // den <= bound * s:
+                if den > 0 and num % den == 0:
                     trials.append((num // den, j, q2))
     trials.sort(key=lambda t: t[:2])
     return trials
@@ -490,5 +527,4 @@ def _rho2_trial(d: int, s: int, i: int, j: int, q2: int) -> Optional[Rho2Solutio
         return None  # D = (i(-K) - jM)/s is primitive iff gcd(i, j) = 1
     else:
         d_prime, k = lin, None
-    ray1, ray2, g = RAY_TYPE[2][12 - d], RAY_TYPE[q2][lin], k3 // 2 + 1
-    return Rho2Solution(ray1, ray2, d, d_prime, k, g, Fraction(i, s), Fraction(j, s), k3)
+    return Rho2Solution(RAY_TYPE[q2][lin], d, d_prime, k, Fraction(i, s), Fraction(j, s), k3)

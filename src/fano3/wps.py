@@ -130,17 +130,3 @@ def ci_fano_invariants(spec: CompleteIntersectionSpec) -> CiInvariants:
         genus = int(antik) // 2 + 1
     return CiInvariants(dim, iota, antik, genus, tuple(warnings))
 
-
-def double_cover_antik_power(
-    ky_coeff: int,
-    half_branch_coeff: int,
-    h_power: Fraction | int,
-) -> Fraction:
-    """(-K_X)^3 of a double cover f: X -> Y of threefolds branched in B, via
-    K_X = f^*(K_Y + B/2).
-
-    Inputs are coefficients against an ample class H on Y with H^3 =
-    h_power: -K_Y = ky_coeff * H and B = 2 * half_branch_coeff * H, so
-    (-K_X)^3 = 2 * (ky_coeff - half_branch_coeff)^3 * h_power.
-    """
-    return 2 * (ky_coeff - half_branch_coeff) ** 3 * Fraction(h_power)

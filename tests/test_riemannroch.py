@@ -9,13 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fano3.riemannroch import (
-    FanoNumerics,
-    h0_fundamental,
-    hilbert_polynomial,
-    threefold_h0_index1,
-    threefold_h0_index2,
-)
+from fano3.riemannroch import FanoNumerics, h0_fundamental, hilbert_polynomial
 
 
 def monomial_count(degree: int, nvars: int) -> int:
@@ -91,6 +85,25 @@ def test_genus_degree_roundtrip():
     assert FanoNumerics.from_genus(3, 2).degree == 2
     with pytest.raises(ValueError, match="coindex 3 needs even integral degree d = 2g-2"):
         FanoNumerics(3, 1, 7)
+
+
+# the threefold closed forms, kept here as the independent route that
+# hilbert_polynomial is checked against
+def threefold_h0_index1(g: int, t: int) -> int:
+    """(g-1) t (t+1) (2t+1) / 6 + 2t + 1, valid for t >= 0."""
+    if t < 0:
+        raise ValueError("closed form is stated for t >= 0")
+    return (g - 1) * t * (t + 1) * (2 * t + 1) // 6 + 2 * t + 1
+
+
+def threefold_h0_index2(d: int, t: int) -> int:
+    """t (t+2) (2t+2) d / 12 + t + 1, valid for t > -2."""
+    if t <= -2:
+        raise ValueError("closed form is stated for t > -2")
+    val = Fraction(t * (t + 2) * (2 * t + 2) * d, 12) + t + 1
+    if val.denominator != 1:
+        raise ArithmeticError(f"non-integral section count {val}")
+    return int(val)
 
 
 def test_explicit_threefold_forms_match_polynomial():
@@ -215,7 +228,7 @@ def test_discrete_derivative_leading_coefficient(g):
 # assert would be stripped; every one must still raise
 OPTIMIZED_CHECKS = """
 from fractions import Fraction
-from fano3 import riemannroch, wps
+from fano3 import cli, riemannroch, wps
 
 def raises(call):
     try:
@@ -225,11 +238,10 @@ def raises(call):
     return False
 
 fn = riemannroch.FanoNumerics(3, 1, 22)
-seen = [raises(lambda: riemannroch.threefold_h0_index2(Fraction(1, 2), 1))]
+riemannroch.h0_fundamental = lambda fn: 13
+seen = [raises(lambda: cli.main(["rr", "--dim", "3", "--index", "1", "--genus", "12"]))]
 riemannroch.HilbertPolynomial.__call__ = lambda self, t: Fraction(2)
 seen.append(raises(lambda: riemannroch.hilbert_polynomial(fn)))
-riemannroch.hilbert_polynomial = lambda fn: (lambda t: Fraction(0))
-seen.append(raises(lambda: riemannroch.h0_fundamental(fn)))
 wps.is_well_formed = lambda w: False
 seen.append(raises(lambda: wps.normalize(wps.WeightSystem((1, 1, 2)))))
 print(seen)
@@ -242,4 +254,4 @@ def test_invariant_checks_survive_python_optimize():
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_CHECKS], env=env, capture_output=True, text=True
     )
-    assert proc.stdout == "[True, True, True, True]\n", proc.stderr
+    assert proc.stdout == "[True, True, True]\n", proc.stderr

@@ -10,6 +10,7 @@ from fano3.blowup import CurveCenter, PointCenter
 from fano3.cli import main
 from fano3.exactcore import Basis, cls2, eval_form, form2
 from fano3.sarkisov import (
+    GENUS_CAP,
     RAY2_ORDER,
     RAY_TYPE,
     TargetInvariants,
@@ -266,8 +267,12 @@ def test_search_bound_sufficiency():
     for center in ("line", "conic", "point"):
         solved = enumerate_links(center, range(5, 41))
         assert solved == enumerate_links(center, range(5, 41), search_bound=1000)
-        sparse = [41, 97, 211, 400]
-        assert enumerate_links(center, sparse) == enumerate_links(center, sparse, search_bound=200)
+
+
+@pytest.mark.parametrize("center", ["line", "conic", "point"])
+def test_box_oracle_finds_nothing_above_the_genus_cap(center):
+    # the box scans every genus it is given, the cap's among them
+    assert enumerate_links(center, range(GENUS_CAP + 1, GENUS_CAP + 201), search_bound=300) == []
 
 
 def test_enumerate_links_rejects_bad_arguments():
@@ -357,7 +362,7 @@ def test_solvers_carry_int():
             assert cands
             assert all(type(c.ebar_cube) is int and type(c.defect) is int for c in cands)
     for d in (0, *range(3, 12)):
-        trials = _rho2_trials(d, 2 if d == 0 else 1, 16)
+        trials = _rho2_trials(d, 2 if d == 0 else 1)
         assert all(type(x) is int for trial in trials for x in trial)
     out = io.StringIO()
     argv = ["link", "--center", "point", "--genus-range", "8..13", "--show-excluded", "--json"]
@@ -430,11 +435,32 @@ def _rho2_grid_scan(bound):
     return sols
 
 
-@pytest.mark.parametrize("bound", [8, 16])
+# 40 lies above every cap on b that _rho2_trials derives (24, at d = 11);
+# at 2 the bound drops the (-K)^3 = 62 row, which has b = 5/2
+@pytest.mark.parametrize("bound", [2, 8, 16, 40])
 def test_rho2_solve_matches_grid_scan(bound):
     sols = rho2_primitive_enumerate(bound)
-    assert len(sols) == 9
+    assert len(sols) == (8 if bound == 2 else 9)
     assert sols == _rho2_grid_scan(bound)
+
+
+def test_rho2_trials_cover_every_rational_solution():
+    # trial-level oracle: the cap on b uses the three equations of a ray and
+    # not that (-K)^3 is an integer, so every point of the box j < 50 (twice
+    # the largest cap), i <= 8j + 8 that solves them with k3 = q/i^2 rational
+    # must be a trial
+    for d in (0, *range(3, 12)):
+        s, coef = (2 if d == 0 else 1), 12 - d
+        trials = set(_rho2_trials(d, s))
+        for j in range(1, 50):
+            for i in range(1, 8 * j + 9):
+                for q2, lins in RAY_TYPE.items():
+                    q = q2 * s * s + 2 * coef * i * j - 2 * j * j
+                    lin, rem = divmod(q - coef * i * j, s * i)  # (-K)^2.D
+                    if rem or lin not in lins:
+                        continue
+                    if q * i - 3 * coef * i * i * j + 6 * i * j * j == s**3 * _ray_cube(q2, lin):
+                        assert (i, j, q2) in trials, (d, i, j, q2)
 
 
 def test_rho2_matches_catalog_primitive_entries():

@@ -8,7 +8,6 @@ from fano3.wps import (
     CompleteIntersectionSpec,
     WeightSystem,
     ci_fano_invariants,
-    double_cover_antik_power,
     is_well_formed,
     normalize,
     pic_index,
@@ -136,6 +135,18 @@ def test_normalized_models_share_invariants():
     for ws in ((1, 1, 1, 2, 3), (3, 2, 1, 1, 1), (2, 3, 1, 1, 1)):
         inv = ci_fano_invariants(CompleteIntersectionSpec(WeightSystem(ws), (6,)))
         assert (inv.index, inv.antik_power) == (2, 8)
+
+
+def double_cover_antik_power(ky_coeff: int, half_branch_coeff: int, h_power: Fraction | int) -> Fraction:
+    """(-K_X)^3 of a double cover f: X -> Y of threefolds branched in B, via
+    K_X = f^*(K_Y + B/2), kept here as the independent route that
+    ci_fano_invariants is checked against.
+
+    Inputs are coefficients against an ample class H on Y with H^3 =
+    h_power: -K_Y = ky_coeff * H and B = 2 * half_branch_coeff * H, so
+    (-K_X)^3 = 2 * (ky_coeff - half_branch_coeff)^3 * h_power.
+    """
+    return 2 * (ky_coeff - half_branch_coeff) ** 3 * Fraction(h_power)
 
 
 def test_hurwitz_double_cover_checks():
