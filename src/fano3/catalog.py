@@ -152,13 +152,15 @@ def verify(entry: CatalogEntry) -> list[CheckResult]:
     add("kc2", entry.kc2, 24)
     if entry.rho == 1:
         add("degree-bound-rho1", cube <= 72, True)
-    # h^0(-K) = g + 2 via the Hilbert polynomial at t = iota, on the degrees
-    # that FanoNumerics(3, iota, cube / iota^3) accepts
-    if index_ok and cube > 0 and {1: cube % 2 == 0, 2: True, 3: cube == 54, 4: cube == 64}[iota]:
-        h0 = hilbert_polynomial(FanoNumerics(3, iota, Fraction(cube, iota**3)))(iota)
-        add("h0-anticanonical", Fraction(h0), cube // 2 + 3)  # rational in the JSON contract
-    else:
-        add("h0-anticanonical", None, cube // 2 + 3)
+    # h^0(-K) = g + 2 via the Hilbert polynomial at t = iota, where
+    # FanoNumerics(3, iota, cube / iota^3) exists; index_ok keeps iota = 0
+    # out of the division
+    try:
+        fn = FanoNumerics(3, iota, Fraction(cube, iota**3)) if index_ok else None
+    except ValueError:
+        fn = None
+    h0 = None if fn is None else Fraction(hilbert_polynomial(fn)(iota))  # rational in the JSON contract
+    add("h0-anticanonical", h0, cube // 2 + 3)
     if entry.hyperplane_section is not None:
         hs = entry.hyperplane_section
         add("noether-hyperplane-section", hs["k2"] + hs["rho"], 10)

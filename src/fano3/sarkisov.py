@@ -51,11 +51,6 @@ POINT_SINGULARITY = {
     "B5": "quotient point C^3/{+-1}, non-Gorenstein of multiplicity 4",
 }
 
-# genus from which |-K_tilde - E| is guaranteed non-empty, from the h^0 lower
-# bounds g-5 / g-7 / g-8 on the three blowups; one genus later h^0 >= 2.
-EFFECTIVITY_NONEMPTY = {"line": 6, "conic": 8, "point": 9}
-EFFECTIVITY_STRICT = {center: g + 1 for center, g in EFFECTIVITY_NONEMPTY.items()}
-
 # No solved trial exists above this genus, so the default path skips those
 # cells.  The midpoint (k3, ke, kee) is (2g - 6, 3, -2), (2g - 8, 4, -2) and
 # (2g - 10, 4, -2) on the line, conic and point, with k3 > 0 where solved.
@@ -65,7 +60,7 @@ EFFECTIVITY_STRICT = {center: g + 1 for center, g in EFFECTIVITY_NONEMPTY.items(
 #   lin = ke, and a = 2*ke/k3 then gives k3 <= 2*ke.
 # - B1 onto iota >= 2: k3*a^2 = 2*ke*a + 2 + iota*d (_b1_trials) with a >= 1
 #   and iota*d <= 10 (B1_DEGREES) gives k3 <= 2*ke + 12.
-# - B1 onto iota = 1: _b1_trials gives none from EFFECTIVITY_STRICT on.
+# - B1 onto iota = 1: _b1_trials gives none once _h0_lower_bound >= 2.
 # So k3 <= 36 on the line and 32 on the conic and the point: g <= 21, 20, 21.
 GENUS_CAP = 21
 
@@ -135,14 +130,27 @@ def midpoint_form(center: Center, g: int) -> TrilinearForm:
     return blowup_point(c) if isinstance(data, PointCenter) else blowup_curve(c, data)
 
 
-def _m_cap(center: Center, g: int, a: int, b: int, birational: bool) -> Optional[int]:
+def _h0_lower_bound(center: Center, g: int) -> int:
+    """h^0(-K_tilde - E) >= h^0(-K) - c = g + 2 - c.  -K_tilde - E is
+    sigma^*(-K) - 2E over a curve and sigma^*(-K) - 3E over a point, so c
+    counts the conditions for a section of -K to vanish to order 2 along a
+    smooth rational curve C of (-K)-degree delta, h^0(O_C(-K)) +
+    h^0(N*_C(-K)) = (delta + 1) + (delta + 4) = 2*delta + 5, or to order 3
+    at a point, C(5, 3) = 10."""
+    data = CENTER_DATA[center]
+    c = 10 if isinstance(data, PointCenter) else 2 * data.deg_antik + 5
+    return g + 2 - c
+
+
+def _m_cap(h0: int, a: int, b: int, birational: bool) -> Optional[int]:
     """The largest m with b >= m*a, which holds whenever |-K - m*Ebar| is
     non-empty, strictly (b > m*a) for birational contractions once that
-    system moves; None below the genus where it is known non-empty.  A cap
-    of 0 fails effectivity (m = 1), so the caller rejects the trial."""
-    if g < EFFECTIVITY_NONEMPTY[center]:
+    system moves; None where h0 = _h0_lower_bound does not show it
+    non-empty.  A cap of 0 fails effectivity (m = 1), so the caller rejects
+    the trial."""
+    if h0 < 1:
         return None
-    return (b - 1) // a if (birational and g >= EFFECTIVITY_STRICT[center]) else b // a
+    return (b - 1) // a if (birational and h0 >= 2) else b // a
 
 
 def _ray_cube(q2: int, lin: int) -> int:
@@ -157,6 +165,7 @@ def _ray_candidates(
     """The fiber, conic-bundle and point-blowdown links: Fbar = a(-K) - bE
     spans the second ray, whose type RAY_TYPE reads from Fbar."""
     k3, ke, kee, e3 = vals
+    h0 = _h0_lower_bound(center, g)
     for a, b in trials:
         q2 = k3 * a * a - 2 * a * b * ke + b * b * kee  # Fbar^2.(-K)
         if q2 not in RAY_TYPE:
@@ -194,7 +203,7 @@ def _ray_candidates(
                 target = TargetInvariants("del-pezzo-fibration", fiber_degree=lin)
             else:
                 target = TargetInvariants("conic-bundle", discriminant_degree=12 - lin)
-        m_cap = _m_cap(center, g, a, b, birational=q2 < 0)
+        m_cap = _m_cap(h0, a, b, birational=q2 < 0)
         if m_cap == 0:
             continue
         ebar, rem = divmod(k3 * a**3 - 3 * a * a * b * ke + 3 * a * b * b * kee - cube, b**3)
@@ -242,6 +251,7 @@ def _b1_candidates(
 ) -> Iterable[LinkCandidate]:
     """The curve blowdowns onto a Fano of index iota, from each a_m in trials[iota]."""
     k3, ke, kee, e3 = vals
+    h0 = _h0_lower_bound(center, g)
     for iota, a_ms in trials.items():
         for a_m in a_ms:
             a_f = iota * a_m - 1
@@ -263,7 +273,7 @@ def _b1_candidates(
             two_gz = a_f * a_f * k3 - 2 * a_f * b_f * ke + b_f * b_f * kee  # 2g(Z) - 2
             if two_gz % 2 or two_gz < -2:
                 continue
-            m_cap = _m_cap(center, g, a_f, b_f, birational=True)
+            m_cap = _m_cap(h0, a_f, b_f, birational=True)
             if m_cap == 0:
                 continue
             # Mbar^3 = d(Y)
@@ -292,9 +302,10 @@ def _b1_trials(center: Center, g: int, vals: tuple[int, ...], iota: int) -> Iter
         return [a for d in B1_DEGREES[iota] for a in _integer_roots(k3, -2 * ke, kee - iota * d)]
     # iota = 1 admits every even d, so bound a_m through a_f = a_m - 1 >= 1
     # and the checks on b_f = 1 instead.
-    if g >= EFFECTIVITY_STRICT[center]:
+    h0 = _h0_lower_bound(center, g)
+    if h0 >= 2:
         return ()  # b_f > a_f >= 1 is impossible
-    if g >= EFFECTIVITY_NONEMPTY[center]:
+    if h0 >= 1:
         return (2,)  # 1 <= a_f <= b_f = 1
     # With d = Mbar^2.(-K) substituted, Ebar^3 - E^3 is the cubic below in
     # a_m with leading coefficient k3 > 0; it is positive (negative defect)

@@ -133,17 +133,20 @@ def test_blowdown_inconsistency_is_reported_on_integers(cat):
 
 
 @pytest.mark.parametrize(
-    "field,value,failed",
+    "entry_id,field,value,failed",
     [
-        ("index", 0, {"index-range", "genus-degree", "h0-anticanonical"}),
-        ("index", 5, {"index-range", "genus-degree", "h0-anticanonical"}),
-        ("antik_cube", 13, {"genus-degree", "h0-anticanonical"}),
+        ("fano-g7", "index", 0, {"index-range", "genus-degree", "h0-anticanonical"}),
+        ("fano-g7", "index", 5, {"index-range", "genus-degree", "h0-anticanonical"}),
+        ("fano-g7", "antik_cube", 13, {"genus-degree", "h0-anticanonical"}),
+        ("v3", "antik_cube", 41, {"genus-degree", "h0-anticanonical"}),
     ],
+    ids=["index-0-failed0", "index-5-failed1", "antik_cube-13-failed2", "v3-antik_cube-41-failed3"],
 )
-def test_out_of_range_inputs_fail_as_data(cat, field, value, failed):
-    # an index outside 1..4 or an odd index-1 (-K)^3 has no Hilbert
-    # polynomial; verify returns the same checks and fails those with no lhs
-    entry = cat.by_id("fano-g7")
+def test_out_of_range_inputs_fail_as_data(cat, entry_id, field, value, failed):
+    # an index outside 1..4, an odd index-1 (-K)^3 or an index-2 (-K)^3 that
+    # 8 does not divide has no Hilbert polynomial; verify returns the same
+    # checks and fails those with no lhs
+    entry = cat.by_id(entry_id)
     results = catalog.verify(dataclasses.replace(entry, **{field: value}))
     assert [r.check for r in results] == [r.check for r in catalog.verify(entry)]
     assert {r.check for r in results if not r.passed} == failed

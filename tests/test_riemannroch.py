@@ -87,6 +87,16 @@ def test_genus_degree_roundtrip():
         FanoNumerics(3, 1, 7)
 
 
+def test_degree_is_an_integer():
+    # H is Cartier, so H^n is an integer at every coindex; an integral
+    # Fraction is stored as int
+    for degree in (Fraction(7, 3), Fraction(41, 8)):
+        with pytest.raises(ValueError, match="degree H\\^n must be an integer"):
+            FanoNumerics(3, 2, degree)
+    degree = FanoNumerics(3, 2, Fraction(10, 2)).degree
+    assert (type(degree), degree) == (int, 5)
+
+
 # the threefold closed forms, kept here as the independent route that
 # hilbert_polynomial is checked against
 def threefold_h0_index1(g: int, t: int) -> int:
@@ -204,7 +214,7 @@ def test_serre_functional_equation(fn, t):
 def test_vanishing_at_interior_roots_and_normalization(fn):
     chi = hilbert_polynomial(fn)
     assert chi(0) == 1
-    assert chi.coeffs[-1] == fn.degree / math.factorial(fn.dim)
+    assert chi.coeffs[-1] == Fraction(fn.degree, math.factorial(fn.dim))
     assert len(chi.coeffs) == fn.dim + 1
     for k in range(1, fn.index):
         assert chi(-k) == 0
@@ -240,6 +250,7 @@ def raises(call):
 fn = riemannroch.FanoNumerics(3, 1, 22)
 riemannroch.h0_fundamental = lambda fn: 13
 seen = [raises(lambda: cli.main(["rr", "--dim", "3", "--index", "1", "--genus", "12"]))]
+seen.append(raises(lambda: riemannroch.hilbert_polynomial(fn)))
 riemannroch.HilbertPolynomial.__call__ = lambda self, t: Fraction(2)
 seen.append(raises(lambda: riemannroch.hilbert_polynomial(fn)))
 wps.is_well_formed = lambda w: False
@@ -254,4 +265,4 @@ def test_invariant_checks_survive_python_optimize():
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_CHECKS], env=env, capture_output=True, text=True
     )
-    assert proc.stdout == "[True, True, True]\n", proc.stderr
+    assert proc.stdout == "[True, True, True, True]\n", proc.stderr

@@ -315,8 +315,8 @@ def test_solved_trials_cover_every_box_point():
 # Synthetic (center, g, vals, trial) that each guard of _ray_candidates
 # rejects after every earlier check passed; without that guard the trial
 # comes out as a candidate.  vals = (k3, ke, kee, e3); q2 = (-K).Fbar^2 and
-# lin = (-K)^2.Fbar of Fbar = a(-K) - bE pick the type.  Below
-# EFFECTIVITY_NONEMPTY (g = 2) no m_cap is set.
+# lin = (-K)^2.Fbar of Fbar = a(-K) - bE pick the type.  At g = 2 the
+# bound h^0(-K_tilde - E) >= g - 5 shows nothing, so no m_cap is set.
 RAY_GUARDS = {
     # B5 (q2 = -2, lin = 1) with b = 1: iota = b*lin/(2*mu) = 1/2 floors to
     # 0, which the next line would divide by.
@@ -327,7 +327,8 @@ RAY_GUARDS = {
     "target-cube": ("line", 2, (-8, -12, -18, 0), (1, 1)),
     # D2 (q2 = 0, lin = 8) has length 2, not b = 1
     "length": ("line", 2, (10, 2, -6, 0), (1, 1)),
-    # B2 with b = 1 > m*a fails for m = 1 from EFFECTIVITY_STRICT (g = 7) on
+    # B2 with b = 1 > m*a fails for m = 1 from g = 7 on, where
+    # h^0(-K_tilde - E) >= g - 5 >= 2
     "m-cap": ("line", 7, (2, -2, -8, 0), (1, 1)),
     # D2 with b = 2: Ebar^3 = (4 + 12 - 36)/8 = -5/2
     "ebar-integral": ("line", 2, (4, -2, -3, 0), (1, 2)),
