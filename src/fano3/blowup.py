@@ -8,27 +8,26 @@ cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from fano3.exactcore import Basis, Rat, TrilinearForm, form2
 
 
-@dataclass(frozen=True)
-class CurveCenter:
+class CurveCenter(NamedTuple("CurveCenter", [("deg_antik", int), ("genus", int)])):
     """Smooth curve Z with (-K_V).Z = deg_antik and genus g(Z)."""
 
-    deg_antik: int
-    genus: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.deg_antik < 1:
+    # _replace bypasses __new__: change a field through the constructor
+    def __new__(cls, deg_antik: int, genus: int) -> CurveCenter:
+        if deg_antik < 1:
             raise ValueError("centers on Fano varieties have (-K).Z >= 1")
-        if self.genus < 0:
+        if genus < 0:
             raise ValueError("genus must be >= 0")
+        return super().__new__(cls, deg_antik, genus)
 
 
-@dataclass(frozen=True)
-class PointCenter:
+class PointCenter(NamedTuple):
     """Marker for a point center."""
 
 

@@ -9,15 +9,13 @@ backs the fact store consumed by the link filter.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     id: str
     rho: int
     index: int
@@ -36,15 +34,13 @@ class CatalogEntry:
     moduli_dim: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class FactRecord:
+class FactRecord(NamedTuple):
     subject: str
     predicate: str
     value: Any
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     entries: tuple[CatalogEntry, ...]
     facts: tuple[FactRecord, ...]
     geometric_exclusions: tuple[dict, ...]
@@ -104,8 +100,7 @@ def load() -> Catalog:
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     entry_id: str
     check: str
     passed: bool
@@ -188,8 +183,7 @@ def verify_all() -> list[CheckResult]:
     return out
 
 
-@dataclass(frozen=True)
-class LinkFactStore:
+class LinkFactStore(NamedTuple):
     """Catalog-backed inputs for sarkisov.filter_links, with the rho = 1
     entries keyed by (index, (-K)^3): how a link knows the Fanos at its ends."""
 

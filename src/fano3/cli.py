@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 usage error, 3 catalog verification failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import re
@@ -20,7 +19,7 @@ def _jsonable(obj: Any) -> Any:
         return {"num": str(obj.numerator), "den": str(obj.denominator)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):  # not a record, though every record is a tuple
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
@@ -225,7 +224,7 @@ def candidate_payload(c: sarkisov.LinkCandidate) -> dict:
         "b": c.fbar[1],
         "mbar": list(c.mbar),
         "fbar": list(c.fbar),
-        "target": {k: v for k, v in dataclasses.asdict(c.target).items() if v is not None},
+        "target": {k: v for k, v in c.target._asdict().items() if v is not None},
         "ebar_cube": Fraction(c.ebar_cube),
         "defect": Fraction(c.defect),
         "status": c.status,
@@ -256,10 +255,7 @@ def _candidate_row(c: sarkisov.LinkCandidate) -> str:
 def _cmd_link(args, out) -> int:
     from fano3 import sarkisov
 
-    if args.genus is not None:
-        genera = [args.genus]
-    else:  # no genus above the cap has a candidate, so the range may be any width
-        genera = range(args.genus_range.start, min(args.genus_range.stop, sarkisov.GENUS_CAP + 1))
+    genera = [args.genus] if args.genus is not None else args.genus_range
     cands = sarkisov.enumerate_links(args.center, genera)
     if not args.show_excluded:
         cands = [c for c in cands if c.confirmed]
@@ -301,8 +297,7 @@ def _cmd_rho2(args, out) -> int:
 # --- catalog --------------------------------------------------------------
 
 def _entry_payload(e: catalog.CatalogEntry) -> dict:
-    d = dataclasses.asdict(e)
-    return {k: v for k, v in d.items() if v is not None}
+    return {k: v for k, v in e._asdict().items() if v is not None}
 
 
 def _cmd_catalog(args, out) -> int:
@@ -321,7 +316,7 @@ def _cmd_catalog(args, out) -> int:
         return 0
     if args.action == "facts":
         facts = cat.facts_for(args.subject)
-        payload = [dataclasses.asdict(f) for f in facts]
+        payload = [f._asdict() for f in facts]
         table = "\n".join(f"{f.predicate:12s} {f.value}" for f in facts) or "(no facts)"
         _emit(out, payload, args.json, table)
         return 0
@@ -333,7 +328,7 @@ def _cmd_catalog(args, out) -> int:
     failures = [r for r in results if not r.passed]
     payload = {
         "checks": len(results),
-        "failures": [dataclasses.asdict(r) for r in failures],
+        "failures": [r._asdict() for r in failures],
     }
     lines = [f"{len(results)} checks, {len(failures)} failures"]
     lines += [f"FAIL {r.entry_id} {r.check}: {r.lhs} != {r.rhs}" for r in failures]

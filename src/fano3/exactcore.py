@@ -9,9 +9,8 @@ expansion over exact rationals.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -28,18 +27,17 @@ class Basis(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple("DivisorClass", [("basis", Basis), ("coords", tuple[Rat, ...])])):
     """Exact coefficient vector in a declared ordered basis."""
 
-    basis: Basis
-    coords: tuple[Rat, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.coords, tuple):  # a list would break == and hash
-            object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) != 2:
-            raise ValueError(f"a class has 2 coordinates, got {len(self.coords)}")
+    # _replace bypasses __new__: change a field through the constructor
+    def __new__(cls, basis: Basis, coords: Sequence[Rat]) -> DivisorClass:
+        coords = tuple(coords)  # a list would break == and hash
+        if len(coords) != 2:
+            raise ValueError(f"a class has 2 coordinates, got {len(coords)}")
+        return super().__new__(cls, basis, coords)
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
@@ -49,18 +47,17 @@ def cls2(basis: Basis, a: Rat, b: Rat) -> DivisorClass:
     return DivisorClass(basis, (a, b))
 
 
-@dataclass(frozen=True)
-class TrilinearForm:
+class TrilinearForm(NamedTuple("TrilinearForm", [("basis", Basis), ("values", tuple[Rat, ...])])):
     """Symmetric 3-form stored by its values (e1^3, e1^2*e2, e1*e2^2, e2^3)."""
 
-    basis: Basis
-    values: tuple[Rat, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.values, tuple):  # a list would break == and hash
-            object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != 4:
-            raise ValueError(f"a form stores 4 values, got {len(self.values)}")
+    # _replace bypasses __new__: change a field through the constructor
+    def __new__(cls, basis: Basis, values: Sequence[Rat]) -> TrilinearForm:
+        values = tuple(values)  # a list would break == and hash
+        if len(values) != 4:
+            raise ValueError(f"a form stores 4 values, got {len(values)}")
+        return super().__new__(cls, basis, values)
 
     @property
     def not_big(self) -> bool:

@@ -10,28 +10,24 @@ section count chi(1) in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 Rat = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class FanoNumerics:
+class FanoNumerics(NamedTuple("FanoNumerics", [("dim", int), ("index", int), ("degree", int)])):
     """dim n, index iota, degree d = H^n; genus only in the coindex-3 case.
     An integral Fraction degree is stored as int; a non-integral one raises."""
 
-    dim: int
-    index: int
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        d = Fraction(self.degree)
+    # _replace bypasses __new__: change a field through the constructor
+    def __new__(cls, dim: int, index: int, degree: Rat) -> FanoNumerics:
+        n, i, d = dim, index, Fraction(degree)
         if d.denominator != 1:
             raise ValueError(f"degree H^n must be an integer, got {d}")
-        object.__setattr__(self, "degree", d.numerator)
-        n, i, d = self.dim, self.index, self.degree
+        d = d.numerator
         if n < 1 or i < 1 or i > n + 1:
             raise ValueError(f"need 1 <= iota <= n+1, got iota={i}, n={n}")
         if d <= 0:
@@ -40,8 +36,9 @@ class FanoNumerics:
             raise ValueError("iota = n+1 forces H^n = 1")
         if i == n and d != 2:
             raise ValueError("iota = n forces H^n = 2")
-        if self.coindex == 3 and d % 2 != 0:
+        if n + 1 - i == 3 and d % 2 != 0:
             raise ValueError("coindex 3 needs even integral degree d = 2g-2")
+        return super().__new__(cls, n, i, d)
 
     @property
     def coindex(self) -> int:
@@ -60,8 +57,7 @@ class FanoNumerics:
         return cls(dim, dim - 2, 2 * genus - 2)
 
 
-@dataclass(frozen=True)
-class HilbertPolynomial:
+class HilbertPolynomial(NamedTuple):
     """chi(t) = sum(num[k] t^k) / den, ascending degree, length n+1, in
     lowest terms with den > 0."""
 

@@ -15,9 +15,8 @@ _ray_trials, and B1 trials come from a quadratic per admitted target degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 from fano3.blowup import CurveCenter, PointCenter, blowup_curve, blowup_point
 from fano3.exactcore import TrilinearForm
@@ -65,8 +64,7 @@ POINT_SINGULARITY = {
 GENUS_CAP = 21
 
 
-@dataclass(frozen=True)
-class TargetInvariants:
+class TargetInvariants(NamedTuple):
     """What the second contraction lands on."""
 
     kind: Literal[
@@ -92,8 +90,7 @@ class TargetInvariants:
         return None
 
 
-@dataclass(frozen=True)
-class LinkCandidate:
+class LinkCandidate(NamedTuple):
     """One numerically consistent second contraction."""
 
     center: Center
@@ -373,6 +370,9 @@ def enumerate_links(
     oracle the tests compare the solve against."""
     if search_bound < 0:
         raise ValueError(f"search_bound must be >= 0, got {search_bound}")
+    if not search_bound and isinstance(g_range, range) and g_range.step > 0:
+        # no genus above the cap has a candidate, so a range may be any width
+        g_range = range(g_range.start, min(g_range.stop, GENUS_CAP + 1), g_range.step)
     genera = sorted(set(int(g) for g in g_range))
     if genera and genera[0] < 2:
         raise ValueError(f"genus must be >= 2, got {genera[0]}")
@@ -399,10 +399,12 @@ def filter_links(candidates: Sequence[LinkCandidate]) -> list[LinkCandidate]:
     link facts; nothing is dropped.  Rules fire in the order genus-bound,
     rationality, geometric, euler; rationality needs the source known
     rational and the target known irrational."""
+    if not candidates:
+        return []
     from fano3 import catalog
 
     facts = catalog.link_facts()
-    return [replace(cand, status=_status(cand, facts)) for cand in candidates]
+    return [cand._replace(status=_status(cand, facts)) for cand in candidates]
 
 
 def _status(cand: LinkCandidate, facts: catalog.LinkFactStore) -> str:
@@ -438,8 +440,7 @@ def _status(cand: LinkCandidate, facts: catalog.LinkFactStore) -> str:
 RAY2_ORDER = list(dict.fromkeys(tag for lins in RAY_TYPE.values() for tag in lins.values()))
 
 
-@dataclass(frozen=True)
-class Rho2Solution:
+class Rho2Solution(NamedTuple):
     """One primitive rho=2 solution: conic bundle with discriminant degree d
     plus a second ray of the stated type."""
 

@@ -7,25 +7,24 @@ Top intersections use M^m = sum(d_i), M^(m-1).F = 1, and F.F = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from fano3.exactcore import Basis, DivisorClass, Rat, cls2
 
 
-@dataclass(frozen=True)
-class ScrollData:
+class ScrollData(NamedTuple("ScrollData", [("splitting", tuple[int, ...])])):
     """Splitting type (d_1 >= d_2 >= ... >= d_m >= 0)."""
 
-    splitting: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.splitting) < 2:
+    # _replace bypasses __new__: change a field through the constructor
+    def __new__(cls, splitting: Sequence[int]) -> ScrollData:
+        if len(splitting) < 2:
             raise ValueError("scrolls here have rank >= 2")
-        if any(d < 0 for d in self.splitting):
+        if any(d < 0 for d in splitting):
             raise ValueError("splitting degrees must be >= 0")
-        object.__setattr__(self, "splitting", tuple(sorted(self.splitting, reverse=True)))
+        return super().__new__(cls, tuple(sorted(splitting, reverse=True)))
 
     @property
     def rank(self) -> int:
@@ -76,8 +75,7 @@ def _splittings(total: int, parts: int) -> list[tuple[int, ...]]:
     return [row + (total - sum(row),) for row in rows]
 
 
-@dataclass(frozen=True)
-class HyperellipticCandidate:
+class HyperellipticCandidate(NamedTuple):
     scroll: ScrollData
     branch_class: DivisorClass
     realized_as: Optional[str] = None
@@ -101,8 +99,7 @@ def hyperelliptic_candidates(g: int) -> list[HyperellipticCandidate]:
     ]
 
 
-@dataclass(frozen=True)
-class TrigonalCandidate:
+class TrigonalCandidate(NamedTuple):
     scroll: ScrollData
     member_class: DivisorClass
     witness: Optional[Fraction] = None
@@ -149,5 +146,5 @@ def mark_realized(
     out = []
     for cand in candidates:
         entry = realized.get(cand.scroll.splitting)
-        out.append(cand if entry is None else replace(cand, realized_as=entry))
+        out.append(cand if entry is None else cand._replace(realized_as=entry))
     return out

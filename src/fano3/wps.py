@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    weights: tuple[int, ...]
+class WeightSystem(NamedTuple("WeightSystem", [("weights", tuple[int, ...])])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.weights) < 2:
+    # _replace bypasses __new__: change a field through the constructor
+    def __new__(cls, weights: Sequence[int]) -> WeightSystem:
+        if len(weights) < 2:
             raise ValueError("need at least two weights")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise ValueError("weights must be positive integers")
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        return super().__new__(cls, tuple(int(w) for w in weights))
 
     @property
     def dim(self) -> int:
@@ -80,21 +80,22 @@ def pic_index(w: WeightSystem) -> int:
     return math.lcm(*w.weights)
 
 
-@dataclass(frozen=True)
-class CompleteIntersectionSpec:
-    weights: WeightSystem
-    degrees: tuple[int, ...]
+class CompleteIntersectionSpec(
+    NamedTuple("CompleteIntersectionSpec", [("weights", WeightSystem), ("degrees", tuple[int, ...])])
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        if any(d < 1 for d in self.degrees):
+    # _replace bypasses __new__: change a field through the constructor
+    def __new__(cls, weights: WeightSystem, degrees: Sequence[int]) -> CompleteIntersectionSpec:
+        degrees = tuple(int(d) for d in degrees)
+        if any(d < 1 for d in degrees):
             raise ValueError("degrees must be positive")
-        if len(self.degrees) >= self.weights.dim:
+        if len(degrees) >= weights.dim:
             raise ValueError("codimension must be < dim of the ambient space")
+        return super().__new__(cls, weights, degrees)
 
 
-@dataclass(frozen=True)
-class CiInvariants:
+class CiInvariants(NamedTuple):
     """Numerical invariants of a quasi-smooth Fano complete intersection."""
 
     dim: int

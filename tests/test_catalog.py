@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -122,7 +121,7 @@ def test_blowdown_consistency_of_imprimitive_tables(cat):
 def test_blowdown_inconsistency_is_reported_on_integers(cat):
     # (-K)^3 of the blowup of V3 along an elliptic cubic is 12; a table entry
     # shifted to 14 fails the check, which compares integers
-    entry = dataclasses.replace(cat.by_id("rho2-impb-v3"), antik_cube=14)
+    entry = cat.by_id("rho2-impb-v3")._replace(antik_cube=14)
     results = {r.check: r for r in catalog.verify(entry)}
     failed = results["blowdown-consistency-0"]
     assert not failed.passed
@@ -147,7 +146,7 @@ def test_out_of_range_inputs_fail_as_data(cat, entry_id, field, value, failed):
     # 8 does not divide has no Hilbert polynomial; verify returns the same
     # checks and fails those with no lhs
     entry = cat.by_id(entry_id)
-    results = catalog.verify(dataclasses.replace(entry, **{field: value}))
+    results = catalog.verify(entry._replace(**{field: value}))
     assert [r.check for r in results] == [r.check for r in catalog.verify(entry)]
     assert {r.check for r in results if not r.passed} == failed
     assert {r.check: r for r in results}["h0-anticanonical"].lhs is None
@@ -156,7 +155,7 @@ def test_out_of_range_inputs_fail_as_data(cat, entry_id, field, value, failed):
 def _with_first_blowup(entry, **changes):
     blowups = entry.construction["blowups"]
     construction = {**entry.construction, "blowups": [{**blowups[0], **changes}, *blowups[1:]]}
-    return dataclasses.replace(entry, construction=construction)
+    return entry._replace(construction=construction)
 
 
 def test_verify_returns_on_every_single_field_mutant(cat):
@@ -166,7 +165,7 @@ def test_verify_returns_on_every_single_field_mutant(cat):
         for field in fields:
             value = getattr(entry, field)
             if value is not None:
-                mutants += [dataclasses.replace(entry, **{field: value + d}) for d in (-2, -1, 1, 2)]
+                mutants += [entry._replace(**{field: value + d}) for d in (-2, -1, 1, 2)]
         if entry.construction and "blowups" in entry.construction:
             bl = entry.construction["blowups"][0]
             mutants.append(_with_first_blowup(entry, of="nope"))

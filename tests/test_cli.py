@@ -1,7 +1,6 @@
 import ast
 import builtins
 import collections
-import dataclasses
 import io
 import json
 import os
@@ -119,9 +118,9 @@ def test_catalog_verify_failure_exits_three(monkeypatch):
     from fano3 import catalog
 
     cat = catalog.load()
-    shifted = dataclasses.replace(cat.by_id("rho2-impb-v3"), antik_cube=14)
+    shifted = cat.by_id("rho2-impb-v3")._replace(antik_cube=14)
     entries = tuple(shifted if e.id == shifted.id else e for e in cat.entries)
-    monkeypatch.setattr(catalog, "load", lambda: dataclasses.replace(cat, entries=entries))
+    monkeypatch.setattr(catalog, "load", lambda: cat._replace(entries=entries))
     code, text = run(["catalog", "verify", "--all", "--json"])
     assert code == 3
     payload = json.loads(text)
@@ -371,9 +370,22 @@ def test_dumps_rejects_unknown_objects():
         dumps(object())
 
 
+def test_dumps_rejects_records_though_they_are_tuples():
+    from fano3 import catalog, sarkisov
+
+    link = sarkisov.enumerate_links("line", [9])[0]
+    entry = catalog.load().entries[0]
+    for record in (link, entry):
+        with pytest.raises(TypeError, match=f"cannot serialize {type(record).__name__}"):
+            dumps(record)
+
+
 def _loaded_modules(code):
-    """The fano3 modules a fresh interpreter holds after running code."""
-    script = f"import sys\n{code}\nprint(*sorted(m for m in sys.modules if m.startswith('fano3')))"
+    """The fano3 modules a fresh interpreter holds after running code, plus
+    dataclasses and inspect if loaded: records are NamedTuples, so neither
+    is needed, and importing them costs more than most commands."""
+    names = "m.startswith('fano3') or m in ('dataclasses', 'inspect')"
+    script = f"import sys\n{code}\nprint(*sorted(m for m in sys.modules if {names}))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     return set(done.stdout.split())
@@ -386,8 +398,10 @@ def _loaded_modules(code):
         (["wps", "--weights", "1,1,1,2,3"], {"wps"}),
         (["rho2", "enumerate-primitive"], {"sarkisov", "blowup", "exactcore"}),
         (["catalog", "list"], {"catalog", "data"}),
+        (["link", "--center", "line", "--genus-range", "7..13"], {"sarkisov", "blowup", "exactcore", "catalog", "data"}),
+        (["catalog", "verify", "--all"], {"catalog", "data", "blowup", "exactcore", "riemannroch"}),
     ],
-    ids=["rr", "wps", "rho2", "catalog-list"],
+    ids=["rr", "wps", "rho2", "catalog-list", "link", "catalog-verify"],
 )
 def test_subcommand_loads_only_its_layers(argv, layers):
     code = f"import io\nfrom fano3 import cli\nassert cli.main({argv!r}, out=io.StringIO()) == 0"
@@ -396,6 +410,12 @@ def test_subcommand_loads_only_its_layers(argv, layers):
 
 def test_cli_import_loads_no_layer():
     assert _loaded_modules("import fano3.cli") == {"fano3", "fano3.cli"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "fano3").glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclass_in_src(path):
+    # a dataclass compiles its methods at import and pulls in inspect
+    assert "dataclass" not in path.read_text()
 
 
 def _unused_imports(path):

@@ -1,11 +1,11 @@
-import dataclasses
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from fano3 import catalog
+from fano3 import catalog, sarkisov
 from fano3.blowup import CurveCenter, PointCenter
 from fano3.cli import main
 from fano3.exactcore import Basis, cls2, eval_form, form2
@@ -24,6 +24,7 @@ from fano3.sarkisov import (
     _rho2_trials,
     enumerate_links,
     euler_propagate,
+    filter_links,
     midpoint_form,
     rho2_primitive_enumerate,
 )
@@ -91,10 +92,9 @@ def test_statuses_do_not_depend_on_catalog_names(monkeypatch):
 
     before = statuses()
     cat = catalog.load()
-    renamed = dataclasses.replace(
-        cat,
-        entries=tuple(dataclasses.replace(e, id=f"renamed-{e.id}") for e in cat.entries),
-        facts=tuple(dataclasses.replace(f, subject=f"renamed-{f.subject}") for f in cat.facts),
+    renamed = cat._replace(
+        entries=tuple(e._replace(id=f"renamed-{e.id}") for e in cat.entries),
+        facts=tuple(f._replace(subject=f"renamed-{f.subject}") for f in cat.facts),
     )
     monkeypatch.setattr(catalog, "load", lambda: renamed)
     assert statuses() == before
@@ -273,6 +273,27 @@ def test_search_bound_sufficiency():
 def test_box_oracle_finds_nothing_above_the_genus_cap(center):
     # the box scans every genus it is given, the cap's among them
     assert enumerate_links(center, range(GENUS_CAP + 1, GENUS_CAP + 201), search_bound=300) == []
+
+
+@pytest.mark.parametrize("center", ["line", "conic", "point"])
+def test_default_path_clips_a_range_at_the_genus_cap(center, monkeypatch):
+    # the genera above GENUS_CAP are never listed, so any width is cheap; a
+    # sparse range shows that first, as an unclipped 10**12 range never returns
+    visited = []
+    cell = sarkisov._enumerate_cell
+    monkeypatch.setattr(sarkisov, "_enumerate_cell", lambda c, g, b: visited.append(g) or cell(c, g, b))
+    enumerate_links(center, range(5, 10**12, 10**9))
+    assert visited == [5]
+    monkeypatch.undo()
+    start = time.perf_counter()
+    wide = enumerate_links(center, range(5, 10**12))
+    assert time.perf_counter() - start < 1.0
+    assert wide == enumerate_links(center, range(5, GENUS_CAP + 1))
+
+
+def test_filter_links_of_nothing_reads_no_facts(monkeypatch):
+    monkeypatch.setattr(catalog, "link_facts", lambda: pytest.fail("link_facts was called"))
+    assert filter_links([]) == []
 
 
 def test_enumerate_links_rejects_bad_arguments():
