@@ -37,10 +37,6 @@ def _emit(out, payload: Any, as_json: bool, table: str) -> None:
         out.write(table + "\n")
 
 
-def _frac_str(x: int | Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 # --- rr -------------------------------------------------------------------
 
 # hilbert_polynomial costs about dim^2 integer operations (3.5 ms at dim 100,
@@ -77,7 +73,7 @@ def _cmd_rr(args, out) -> int:
         "coefficients": list(chi.coeffs),
         "h0_fundamental": riemannroch.h0_fundamental(fn),
     }
-    _emit(out, payload, args.json, _frac_str(value))
+    _emit(out, payload, args.json, str(value))
     return 0
 
 
@@ -94,7 +90,7 @@ def _cmd_blowup(args, out) -> int:
         form = blowup.blowup_curve(args.antik_cube, blowup.CurveCenter(deg, genus))
         center = {"kind": "curve", "deg_antik": deg, "genus": genus}
     names = ["(-K)^3", "(-K)^2.E", "(-K).E^2", "E^3"]
-    table = "\n".join(f"{n:10s} {_frac_str(v)}" for n, v in zip(names, form.values))
+    table = "\n".join(f"{n:10s} {v}" for n, v in zip(names, form.values))
     if form.not_big:
         table += "\nflag: anticanonical class not big"
     values = [Fraction(v) for v in form.values]  # rational in the JSON contract
@@ -147,7 +143,7 @@ def _cmd_scroll(args, out) -> int:
             rows.append(row)
         table = "\n".join(
             f"{str(r['splitting']):15s} {r['status']}"
-            + (f" (witness {_frac_str(r['witness'])} at k={r['witness_k']})" if r.get("witness") is not None else "")
+            + (f" (witness {r['witness']} at k={r['witness_k']})" if r.get("witness") is not None else "")
             for r in rows
         )
         _emit(out, rows, args.json, table)
@@ -162,11 +158,11 @@ def _cmd_scroll(args, out) -> int:
             out,
             {"splitting": list(s.splitting), "canonical": [Fraction(v) for v in k.coords]},
             args.json,
-            f"K = {_frac_str(k.coords[0])} M + {_frac_str(k.coords[1])} F",
+            f"K = {k.coords[0]} M + {k.coords[1]} F",
         )
     else:
         value = scrolls.scroll_intersection(s, args.intersect)
-        _emit(out, {"splitting": list(s.splitting), "value": Fraction(value)}, args.json, _frac_str(value))
+        _emit(out, {"splitting": list(s.splitting), "value": Fraction(value)}, args.json, str(value))
     return 0
 
 
@@ -203,7 +199,7 @@ def _cmd_wps(args, out) -> int:
         lines += [
             f"dim          {inv.dim}",
             f"index        {inv.index}",
-            f"(-K)^dim     {_frac_str(inv.antik_power)}",
+            f"(-K)^dim     {inv.antik_power}",
         ]
         if inv.genus is not None:
             lines.append(f"genus        {inv.genus}")
@@ -247,7 +243,7 @@ def _candidate_row(c: sarkisov.LinkCandidate) -> str:
         desc = f"point blowdown (k={t.k}) onto Fano with (-K)^3={t.antik_cube_y}"
     return (
         f"g={c.g:<3d} {c.ctype:<6s} F=({c.fbar[0]},{c.fbar[1]}) "
-        f"Ebar^3={_frac_str(c.ebar_cube):>4s} def={_frac_str(c.defect):>3s} "
+        f"Ebar^3={str(c.ebar_cube):>4s} def={str(c.defect):>3s} "
         f"{c.status:<28s} {desc}"
     )
 
@@ -287,7 +283,7 @@ def _cmd_rho2(args, out) -> int:
     table = "\n".join(
         f"(-K)^3={s.antik_cube:<3d} rays=({s.ray1},{s.ray2:<6s}) d={s.d} "
         f"d'={'-' if s.d_prime is None else s.d_prime} g={s.g:<3d} "
-        f"(a,b)=({_frac_str(s.a)},{_frac_str(s.b)})"
+        f"(a,b)=({s.a},{s.b})"
         for s in sols
     )
     _emit(out, payload, args.json, table)

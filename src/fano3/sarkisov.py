@@ -50,8 +50,8 @@ POINT_SINGULARITY = {
     "B5": "quotient point C^3/{+-1}, non-Gorenstein of multiplicity 4",
 }
 
-# No solved trial exists above this genus, so the default path skips those
-# cells.  The midpoint (k3, ke, kee) is (2g - 6, 3, -2), (2g - 8, 4, -2) and
+# No solved trial exists above this genus, so enumerate_links clips a range
+# here.  The midpoint (k3, ke, kee) is (2g - 6, 3, -2), (2g - 8, 4, -2) and
 # (2g - 10, 4, -2) on the line, conic and point, with k3 > 0 where solved.
 # - D and C (q2 = 0, 2 and lin <= 9, 12): the identity in _ray_trials with
 #   b >= 1 gives k3*(2 + q2) <= lin^2 - ke^2.
@@ -337,10 +337,7 @@ def _point_blowdown_box(vals: tuple[int, ...], bound: int) -> Iterable[tuple[int
 
 
 def _enumerate_cell(center: Center, g: int, bound: int) -> list[LinkCandidate]:
-    """One cell's candidates: from the solved trials, or with bound >= 1 the box,
-    which scans every genus it is given."""
-    if not bound and g > GENUS_CAP:
-        return []
+    """One cell's candidates: from the solved trials, or with bound >= 1 the box."""
     vals = midpoint_form(center, g).values
     if vals[0] <= 0:
         return []
@@ -365,9 +362,9 @@ def enumerate_links(
 
     With the default search_bound=0 the trial coefficients are the solutions
     of each contraction type's defining equations, so no box is scanned, and
-    no genus above GENUS_CAP is visited.  With search_bound=N >= 1 they are
-    every coefficient in 1..N instead, at every genus given: the brute-force
-    oracle the tests compare the solve against."""
+    a range is clipped to GENUS_CAP, above which none exist.  With
+    search_bound=N >= 1 they are every coefficient in 1..N instead, at every
+    genus given: the brute-force oracle the tests compare the solve against."""
     if search_bound < 0:
         raise ValueError(f"search_bound must be >= 0, got {search_bound}")
     if not search_bound and isinstance(g_range, range) and g_range.step > 0:

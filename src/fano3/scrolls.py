@@ -6,7 +6,6 @@ Top intersections use M^m = sum(d_i), M^(m-1).F = 1, and F.F = 0.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -45,13 +44,13 @@ def scroll_intersection(s: ScrollData, classes: Sequence[DivisorClass]) -> Rat:
     m = s.rank
     if len(classes) != m:
         raise ValueError(f"need exactly {m} classes, got {len(classes)}")
+    p, q = 1, 0  # the product so far is p M^k + q M^(k-1) F, as F.F = 0
     for d in classes:
         if d.basis is not Basis.MF:
             raise ValueError("classes must be in the (M, F) basis")
-    a = [d.coords[0] for d in classes]
-    b = [d.coords[1] for d in classes]
-    # M^m and the m terms M^(m-1).F; a monomial with F twice vanishes
-    return math.prod(a) * s.degree + sum(b[j] * math.prod(a[:j] + a[j + 1:]) for j in range(m))
+        a, b = d.coords
+        p, q = p * a, p * b + q * a
+    return p * s.degree + q
 
 
 def scroll_canonical(s: ScrollData) -> DivisorClass:

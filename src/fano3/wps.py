@@ -37,37 +37,35 @@ class WeightSystem(NamedTuple("WeightSystem", [("weights", tuple[int, ...])])):
         return math.prod(self.weights)
 
 
+def _cofactor_gcds(weights: Sequence[int]) -> list[int]:
+    """For each i, the gcd of every weight but w_i, from a prefix and a suffix pass."""
+    prefix = list(itertools.accumulate(weights, math.gcd, initial=0))
+    suffix = list(itertools.accumulate(reversed(weights), math.gcd, initial=0))[::-1]
+    return [math.gcd(p, s) for p, s in zip(prefix, suffix[1:])]
+
+
 def is_well_formed(w: WeightSystem) -> bool:
-    """True iff every n-element subset of the n+1 weights is setwise coprime."""
-    n = w.dim
-    return all(
-        math.gcd(*subset) == 1
-        for subset in itertools.combinations(w.weights, n)
-    )
+    """True iff every n of the n+1 weights are coprime: every cofactor gcd is 1."""
+    return all(d == 1 for d in _cofactor_gcds(w.weights))
 
 
 def normalize(w: WeightSystem) -> WeightSystem:
-    """Divide out common factors of any n weights until well-formed.
+    """The well-formed normal form, in closed form (Dolgachev, Weighted
+    projective varieties, LNM 956, 1.3).
 
     If h divides every weight but w_i, the h-th Veronese subring shows
-    P(w) ~ P(w_0/h, ..., w_i/gcd(h, w_i), ..., w_n/h); iterate.  Idempotent,
-    and independent of the reduction order.
+    P(w) ~ P(w_0/h, ..., w_i/gcd(h, w_i), ..., w_n/h).  Divide by gcd(w) and
+    let d_i be the cofactor gcds of the quotient w'; then a_i = w'_i d_i / prod(d),
+    that is w'_i over the product of the other d_j.  The d_i are pairwise
+    coprime: a prime dividing two of them divides every w'_k, whose gcd is 1.
+    So a_i is an integer, and if p divided every a_k with k != i, then p d_i
+    would divide every w'_k with k != i, and so d_i: one step is well-formed.
     """
-    weights = list(w.weights)
-    changed = True
-    while changed:
-        changed = False
-        for skip in range(len(weights)):
-            rest = [weights[j] for j in range(len(weights)) if j != skip]
-            h = math.gcd(*rest)
-            if h > 1:
-                for j in range(len(weights)):
-                    if j != skip:
-                        weights[j] //= h
-                weights[skip] //= math.gcd(h, weights[skip])
-                changed = True
-                break
-    out = WeightSystem(tuple(weights))
+    g = math.gcd(*w.weights)
+    weights = [x // g for x in w.weights]
+    cofactors = _cofactor_gcds(weights)
+    total = math.prod(cofactors)
+    out = WeightSystem(tuple(x * d // total for x, d in zip(weights, cofactors)))
     if not is_well_formed(out):
         raise ArithmeticError(f"normalize left {out.weights} not well-formed")
     return out

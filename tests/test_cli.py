@@ -9,6 +9,7 @@ import re
 import runpy
 import subprocess
 import sys
+import time
 import tokenize
 
 import pytest
@@ -273,6 +274,9 @@ def test_repeated_runs_are_byte_identical():
         (["wps", "--weights", "1,1,1,1,1", "--degrees", "5"], "sum(degrees) = 5 >= sum(weights) = 5"),
         (["scroll", "--weights", "2,1,1", "--intersect", "M,F"], "need exactly 3 classes, got 2"),
         (["catalog", "facts", "nope"], "error: unknown catalog id 'nope'"),
+        # (-K)^dim = 1998^1998 * 2 has more digits than Python prints
+        (["wps", "--weights", ",".join(["1"] * 2000), "--degrees", "2"],
+         "Exceeds the limit (4300 digits) for integer string conversion"),
     ],
 )
 def test_invalid_input_exits_two_with_message(argv, message, capsys):
@@ -280,6 +284,24 @@ def test_invalid_input_exits_two_with_message(argv, message, capsys):
     assert code == 2
     assert text == ""
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["wps", "--weights", ",".join(["2"] * 30000), "--json"], {"well_formed": False, "normalized": [1] * 30000}),
+        (["scroll", "--weights", ",".join(["1"] * 30000), "--intersect", ",".join(["M-F"] * 30000), "--json"],
+         {"value": {"num": "0", "den": "1"}}),
+    ],
+    ids=["wps", "scroll-intersect"],
+)
+def test_long_argv_runs_in_linear_time(argv, expected):
+    # each leave-one-out fold is one pass, so 30000 entries take well under a second
+    start = time.perf_counter()
+    code, text = run(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert expected.items() <= json.loads(text).items()
 
 
 def _num(lo, hi):

@@ -291,6 +291,12 @@ def test_default_path_clips_a_range_at_the_genus_cap(center, monkeypatch):
     assert wide == enumerate_links(center, range(5, GENUS_CAP + 1))
 
 
+@pytest.mark.parametrize("center", ["line", "conic", "point"])
+def test_solve_finds_nothing_above_the_genus_cap(center):
+    # a list is not clipped, so each of these genera is solved
+    assert enumerate_links(center, [*range(GENUS_CAP + 1, GENUS_CAP + 201), 10**6, 10**12]) == []
+
+
 def test_filter_links_of_nothing_reads_no_facts(monkeypatch):
     monkeypatch.setattr(catalog, "link_facts", lambda: pytest.fail("link_facts was called"))
     assert filter_links([]) == []

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,39 @@ def test_wrong_arity():
         scroll_intersection(ScrollData((1, 1, 1)), [mf(1, 0)] * 4)
     with pytest.raises(ValueError, match=r"classes must be in the \(M, F\) basis"):
         scroll_intersection(ScrollData((1, 1)), [mf(1, 0), cls2(Basis.KE, 1, 0)])
+
+
+def _scroll_intersection_slices(s, classes):
+    # the reference: M^m and the m terms M^(m-1).F; a monomial with F twice vanishes
+    a = [d.coords[0] for d in classes]
+    b = [d.coords[1] for d in classes]
+    return math.prod(a) * s.degree + sum(b[j] * math.prod(a[:j] + a[j + 1:]) for j in range(len(a)))
+
+
+def _assert_sweep_matches_slices(s, classes):
+    value, expected = scroll_intersection(s, classes), _scroll_intersection_slices(s, classes)
+    assert value == expected
+    assert type(value) is type(expected)
+
+
+def test_sweep_matches_slices_on_a_box():
+    # every class pair and triple with coefficients in -2..2
+    coeffs = range(-2, 3)
+    for splitting in ((1, 0), (3, 2, 0)):
+        s = ScrollData(splitting)
+        for coords in itertools.product(itertools.product(coeffs, coeffs), repeat=s.rank):
+            _assert_sweep_matches_slices(s, [mf(a, b) for a, b in coords])
+
+
+# zero drawn often, as a zero coefficient switches a term off
+_COEFF = st.integers(-5, 5) | st.fractions(min_value=-5, max_value=5, max_denominator=6) | st.just(0)
+
+
+@given(st.lists(st.integers(0, 6), min_size=2, max_size=8), st.data())
+def test_sweep_matches_slices(splitting, data):
+    s = ScrollData(splitting)
+    pairs = data.draw(st.lists(st.tuples(_COEFF, _COEFF), min_size=s.rank, max_size=s.rank))
+    _assert_sweep_matches_slices(s, [mf(a, b) for a, b in pairs])
 
 
 def _splittings_recursive(total, parts):

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from fano3.wps import (
     CompleteIntersectionSpec,
     WeightSystem,
+    _cofactor_gcds,
     ci_fano_invariants,
     is_well_formed,
     normalize,
@@ -49,6 +52,53 @@ def test_normalize_idempotent(weights):
     once = normalize(WeightSystem(tuple(weights)))
     assert is_well_formed(once)
     assert normalize(once).weights == once.weights
+
+
+def _is_well_formed_subsets(weights):
+    # the reference: every n-element subset of the n+1 weights is coprime
+    return all(math.gcd(*subset) == 1 for subset in itertools.combinations(weights, len(weights) - 1))
+
+
+def _normalize_fixpoint(weights):
+    # the reference: divide out a common factor h of all weights but one,
+    # and that one by gcd(h, w_i), until no such h > 1 is left
+    weights = list(weights)
+    changed = True
+    while changed:
+        changed = False
+        for skip in range(len(weights)):
+            h = math.gcd(*(x for j, x in enumerate(weights) if j != skip))
+            if h > 1:
+                weights = [x // h if j != skip else x // math.gcd(h, x) for j, x in enumerate(weights)]
+                changed = True
+                break
+    return tuple(weights)
+
+
+def _assert_matches_references(weights):
+    w = WeightSystem(weights)
+    assert _cofactor_gcds(weights) == [
+        math.gcd(*weights[:i], *weights[i + 1:]) for i in range(len(weights))
+    ]
+    assert is_well_formed(w) is _is_well_formed_subsets(weights)
+    assert normalize(w).weights == _normalize_fixpoint(weights)
+
+
+def test_closed_form_matches_references_on_boxes():
+    # every weight tuple in 1..10 of length 2 to 4, and in 1..6 of length 5
+    boxes = [(10, n) for n in (2, 3, 4)] + [(6, 5)]
+    for top, n in boxes:
+        for weights in itertools.product(range(1, top + 1), repeat=n):
+            _assert_matches_references(weights)
+
+
+# products of small primes, so that many weights share a factor
+_WEIGHT = st.builds(lambda ps, k: math.prod(ps) * k, st.sets(st.sampled_from((2, 3, 5, 7, 11))), st.integers(1, 4))
+
+
+@given(st.lists(_WEIGHT, min_size=2, max_size=8))
+def test_closed_form_matches_references(weights):
+    _assert_matches_references(tuple(weights))
 
 
 @pytest.mark.parametrize(
