@@ -15,14 +15,16 @@ from typing import Any, Optional, Sequence
 
 
 def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, Fraction):
-        return {"num": str(obj.numerator), "den": str(obj.denominator)}
+    # the classes are disjoint, so the order only sets the cost: the Fraction
+    # test goes through ABCMeta.__instancecheck__ and comes last
+    if isinstance(obj, (bool, int, str)) or obj is None:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if type(obj) in (list, tuple):  # not a record, though every record is a tuple
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
+    if isinstance(obj, Fraction):
+        return {"num": str(obj.numerator), "den": str(obj.denominator)}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -44,8 +46,8 @@ def _emit(out, payload: Any, as_json: bool, table: str) -> None:
 # chi(t), which grows like t^dim
 RR_MAX_DIM = 100
 RR_MAX_T = 10**6
-# the trigonal case list has O(g^3) rows (659 kB of JSON at genus 100), the
-# hyperelliptic one O(g^2)
+# the trigonal case list has O(g^3) rows (6 736 rows, 659 kB of JSON at
+# genus 100), the hyperelliptic one O(g^2) (817 rows)
 SCROLL_MAX_GENUS = 100
 
 
@@ -139,7 +141,8 @@ def _cmd_scroll(args, out) -> int:
             if kind == "hyperelliptic":
                 row["branch"] = [Fraction(v) for v in c.branch_class.coords]
             else:
-                row.update(witness=c.witness, witness_k=c.witness_k)
+                witness = None if c.witness is None else Fraction(c.witness)
+                row.update(witness=witness, witness_k=c.witness_k)
             rows.append(row)
         table = "\n".join(
             f"{str(r['splitting']):15s} {r['status']}"

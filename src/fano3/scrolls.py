@@ -60,18 +60,25 @@ def scroll_canonical(s: ScrollData) -> DivisorClass:
 
 def _splittings(total: int, parts: int) -> list[tuple[int, ...]]:
     """Descending positive splittings of `total` into `parts` >= 2 parts."""
-    # Grow every prefix by one part per round, largest first.  With `slots`
-    # parts still to place out of `budget`, the next part is at most the
-    # previous one and at least ceil(budget / slots); the last takes the rest.
-    rows: list[tuple[int, ...]] = [()]
-    for slots in range(parts, 1, -1):
-        grown = []
-        for row in rows:
-            budget = total - sum(row)
-            cap = min(row[-1] if row else total, budget - (slots - 1))
-            grown.extend(row + (first,) for first in range(cap, -(-budget // slots) - 1, -1))
-        rows = grown
-    return [row + (total - sum(row),) for row in rows]
+    # Grow every prefix by one part per round, largest first, carrying what
+    # is left of the total.  With `slots` parts still to place out of
+    # `budget`, the next part is at most the previous one and at least
+    # ceil(budget / slots).  The last two come out together as
+    # (x, budget - x) with ceil(budget / 2) <= x <= min(previous, budget - 1).
+    rows: list[tuple[tuple[int, ...], int]] = [((), total)]
+    for slots in range(parts, 2, -1):
+        rows = [
+            (row + (first,), budget - first)
+            for row, budget in rows
+            for first in range(
+                min(row[-1] if row else total, budget - (slots - 1)), -(-budget // slots) - 1, -1
+            )
+        ]
+    return [
+        row + (x, budget - x)
+        for row, budget in rows
+        for x in range(min(row[-1] if row else total, budget - 1), -(-budget // 2) - 1, -1)
+    ]
 
 
 class HyperellipticCandidate(NamedTuple):
@@ -92,10 +99,11 @@ def hyperelliptic_candidates(g: int) -> list[HyperellipticCandidate]:
     # Fraction, not int: the branch class is rational in the JSON contract,
     # and the case-list payloads serialize these coordinates as they stand.
     branch = cls2(Basis.MF, Fraction(4), Fraction(2 * (3 - g)))
-    return [
-        HyperellipticCandidate(ScrollData(sp), branch)
-        for sp in _splittings(g - 1, 3)
-    ]
+    # _make is tuple.__new__ and skips ScrollData's checks: _splittings only
+    # yields descending tuples of positive parts of the requested length
+    scroll = ScrollData._make
+    make = HyperellipticCandidate._make
+    return [make((scroll((sp,)), branch, None)) for sp in _splittings(g - 1, 3)]
 
 
 class TrigonalCandidate(NamedTuple):
@@ -130,8 +138,11 @@ def trigonal_candidates(g: int) -> list[TrigonalCandidate]:
     # first negative value is at k0, and it exists exactly when d_1 >= k0.
     k0 = (2 * total - 4) // 3 + 1
     witness = Fraction(2 * total - 3 * k0 - 4)
+    # as in hyperelliptic_candidates, the rows are valid by construction
+    scroll = ScrollData._make
+    make = TrigonalCandidate._make
     return [
-        TrigonalCandidate(ScrollData(sp), member, *((witness, k0) if sp[0] >= k0 else ()))
+        make((scroll((sp,)), member, *((witness, k0) if sp[0] >= k0 else (None, None)), None))
         for sp in _splittings(total, 4)
     ]
 

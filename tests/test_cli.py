@@ -11,12 +11,16 @@ import subprocess
 import sys
 import time
 import tokenize
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fano3.cli import dumps, main
+from fano3.exactcore import Basis
+from fano3.scrolls import ScrollData
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "docs" / "samples"
@@ -174,6 +178,21 @@ _NO_WITNESS = '"witness":null,"witness_k":null}'
 )
 def test_scroll_case_list_output(argv, expected):
     assert run(argv) == (0, expected)
+
+
+def test_scroll_payload_wraps_the_witness(monkeypatch):
+    # the payload declares the witness rational, whatever type the library gives
+    from fano3 import scrolls
+
+    argv = ["scroll", "--trigonal", "10", "--json"]
+    want = run(argv)
+    assert '"witness":{"den":"1","num":"-3"}' in want[1]
+    build = scrolls.trigonal_candidates
+    monkeypatch.setattr(
+        scrolls, "trigonal_candidates",
+        lambda g: [c if c.witness is None else c._replace(witness=int(c.witness)) for c in build(g)],
+    )
+    assert run(argv) == want
 
 
 @pytest.mark.parametrize(
@@ -400,6 +419,35 @@ def test_dumps_rejects_records_though_they_are_tuples():
     for record in (link, entry):
         with pytest.raises(TypeError, match=f"cannot serialize {type(record).__name__}"):
             dumps(record)
+
+
+@pytest.mark.parametrize(
+    "obj,expected",
+    [
+        (True, "true"),
+        (-7, "-7"),
+        (10**30, "1" + "0" * 30),
+        ("M", '"M"'),
+        (Basis.MF, '"MF"'),  # a str enum passes as str
+        (None, "null"),
+        (Fraction(-3, 2), '{"den":"2","num":"-3"}'),
+        (Fraction(4), '{"den":"1","num":"4"}'),
+        ({2: [1, (None, Fraction(1, 3))], Basis.KE: {}}, '{"2":[1,[null,{"den":"3","num":"1"}]],"KE":{}}'),
+    ],
+    ids=["bool", "int", "bigint", "str", "str-enum", "none", "fraction", "integral-fraction", "nested"],
+)
+def test_dumps_accepts(obj, expected):
+    assert dumps(obj) == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.5, 1j, b"M", {1}, frozenset(), Decimal(1), collections.UserList([1]), ScrollData((1, 1)), [1, 0.5]],
+    ids=["float", "complex", "bytes", "set", "frozenset", "decimal", "list-subclass", "record", "nested-float"],
+)
+def test_dumps_rejects(obj):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        dumps(obj)
 
 
 def _loaded_modules(code):

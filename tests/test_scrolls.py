@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from fano3.exactcore import Basis, cls2
 from fano3.scrolls import (
+    HyperellipticCandidate,
     ScrollData,
+    TrigonalCandidate,
     _splittings,
     hyperelliptic_candidates,
     mark_realized,
@@ -105,6 +107,48 @@ def test_splittings_match_recursive_reference():
     for parts in range(2, 6):
         for total in range(70):
             assert _splittings(total, parts) == _splittings_recursive(total, parts), (parts, total)
+
+
+def test_splittings_pass_the_validating_constructor():
+    # the case lists skip ScrollData's checks; it would neither change nor reject a row
+    for parts in range(2, 6):
+        for total in range(70):
+            for row in _splittings(total, parts):
+                assert ScrollData(row).splitting == row, row
+
+
+def _hyperelliptic_oracle(g):
+    # the case lists as built before: every row through the validating constructor
+    branch = cls2(Basis.MF, Fraction(4), Fraction(2 * (3 - g)))
+    return [HyperellipticCandidate(ScrollData(sp), branch) for sp in _splittings_recursive(g - 1, 3)]
+
+
+def _trigonal_oracle(g):
+    total = g - 2
+    member = cls2(Basis.MF, 3, 2 - total)
+    k0 = (2 * total - 4) // 3 + 1
+    witness = Fraction(2 * total - 3 * k0 - 4)
+    return [
+        TrigonalCandidate(ScrollData(sp), member, *((witness, k0) if sp[0] >= k0 else ()))
+        for sp in _splittings_recursive(total, 4)
+    ]
+
+
+def _row_types(cands):
+    # field 1 is the branch or member class; a hyperelliptic row has no witness
+    return [(type(c), type(c.scroll), *map(type, c[1].coords), type(getattr(c, "witness", None))) for c in cands]
+
+
+def test_trusted_rows_match_the_validated_oracle():
+    for g in range(2, 101):
+        got, want = hyperelliptic_candidates(g), _hyperelliptic_oracle(g)
+        assert got == want, g
+        assert _row_types(got) == _row_types(want), g
+    for g in range(5, 61):
+        got, want = trigonal_candidates(g), _trigonal_oracle(g)
+        assert got == want, g
+        assert [(c.witness, c.witness_k) for c in got] == [(c.witness, c.witness_k) for c in want], g
+        assert _row_types(got) == _row_types(want), g
 
 
 @pytest.mark.parametrize(
