@@ -108,11 +108,6 @@ class CheckResult(NamedTuple):
     rhs: Any
 
 
-def _fano_genus(entry: CatalogEntry) -> int:
-    # (-K)^3 / 2 + 1, meaningful for any Fano threefold in these identities
-    return entry.antik_cube // 2 + 1
-
-
 def verify(entry: CatalogEntry) -> list[CheckResult]:
     """Run every applicable identity on one entry; failures are data.
 
@@ -160,19 +155,20 @@ def verify(entry: CatalogEntry) -> list[CheckResult]:
         hs = entry.hyperplane_section
         add("noether-hyperplane-section", hs["k2"] + hs["rho"], 10)
     if entry.h0_tangent is not None:
-        h1 = entry.h0_tangent - (_fano_genus(entry) + entry.rho - entry.h12 - 19)
+        # the Fano genus (-K)^3/2 + 1 is meaningful for any Fano threefold here
+        h1 = entry.h0_tangent - (cube // 2 + 1 + entry.rho - entry.h12 - 19)
         add("tangent-deformation-nonneg", h1 >= 0, True)
         if entry.moduli_dim is not None:
             add("tangent-deformation", h1, entry.moduli_dim)
     if entry.construction and "blowups" in entry.construction:
         for i, bl in enumerate(entry.construction["blowups"]):
-            target = next((e for e in load().entries if e.id == bl["of"]), None)
-            if target is None or bl["deg"] < 1 or bl["genus"] < 0:
-                add(f"blowdown-consistency-{i}", None, entry.antik_cube)
-                continue
-            center = CurveCenter(target.index * bl["deg"], bl["genus"])
-            predicted = blowup_curve(target.antik_cube, center).values[0]
-            add(f"blowdown-consistency-{i}", predicted, entry.antik_cube)
+            try:
+                target = load().by_id(bl["of"])
+                center = CurveCenter(target.index * bl["deg"], bl["genus"])
+                predicted = blowup_curve(target.antik_cube, center).values[0]
+            except ValueError:
+                predicted = None
+            add(f"blowdown-consistency-{i}", predicted, cube)
     return checks
 
 

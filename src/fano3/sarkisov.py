@@ -157,12 +157,11 @@ def _ray_cube(q2: int, lin: int) -> int:
 
 
 def _ray_candidates(
-    center: Center, g: int, vals: tuple[int, ...], trials: Iterable[tuple[int, int]]
+    center: Center, g: int, vals: tuple[int, ...], h0: int, trials: Iterable[tuple[int, int]]
 ) -> Iterable[LinkCandidate]:
     """The fiber, conic-bundle and point-blowdown links: Fbar = a(-K) - bE
     spans the second ray, whose type RAY_TYPE reads from Fbar."""
     k3, ke, kee, e3 = vals
-    h0 = _h0_lower_bound(center, g)
     for a, b in trials:
         q2 = k3 * a * a - 2 * a * b * ke + b * b * kee  # Fbar^2.(-K)
         if q2 not in RAY_TYPE:
@@ -244,11 +243,10 @@ def _ray_box(vals: tuple[int, ...], bound: int) -> list[tuple[int, int]]:
 
 
 def _b1_candidates(
-    center: Center, g: int, vals: tuple[int, ...], trials: dict[int, Iterable[int]]
+    center: Center, g: int, vals: tuple[int, ...], h0: int, trials: dict[int, Iterable[int]]
 ) -> Iterable[LinkCandidate]:
     """The curve blowdowns onto a Fano of index iota, from each a_m in trials[iota]."""
     k3, ke, kee, e3 = vals
-    h0 = _h0_lower_bound(center, g)
     for iota, a_ms in trials.items():
         for a_m in a_ms:
             a_f = iota * a_m - 1
@@ -291,7 +289,7 @@ def _b1_candidates(
             )
 
 
-def _b1_trials(center: Center, g: int, vals: tuple[int, ...], iota: int) -> Iterable[int]:
+def _b1_trials(vals: tuple[int, ...], h0: int, iota: int) -> Iterable[int]:
     """Every a_m that can pass the B1 checks for a target of index iota."""
     k3, ke, kee, e3 = vals
     if iota > 1:
@@ -299,7 +297,6 @@ def _b1_trials(center: Center, g: int, vals: tuple[int, ...], iota: int) -> Iter
         return [a for d in B1_DEGREES[iota] for a in _integer_roots(k3, -2 * ke, kee - iota * d)]
     # iota = 1 admits every even d, so bound a_m through a_f = a_m - 1 >= 1
     # and the checks on b_f = 1 instead.
-    h0 = _h0_lower_bound(center, g)
     if h0 >= 2:
         return ()  # b_f > a_f >= 1 is impossible
     if h0 >= 1:
@@ -341,11 +338,12 @@ def _enumerate_cell(center: Center, g: int, bound: int) -> list[LinkCandidate]:
     vals = midpoint_form(center, g).values
     if vals[0] <= 0:
         return []
+    h0 = _h0_lower_bound(center, g)
     if bound:
         rays, b1 = _ray_box(vals, bound), dict.fromkeys((1, 2, 3, 4), range(1, bound + 1))
     else:
-        rays, b1 = _ray_trials(vals), {i: _b1_trials(center, g, vals, i) for i in (1, 2, 3, 4)}
-    cands = [*_ray_candidates(center, g, vals, rays), *_b1_candidates(center, g, vals, b1)]
+        rays, b1 = _ray_trials(vals), {i: _b1_trials(vals, h0, i) for i in (1, 2, 3, 4)}
+    cands = [*_ray_candidates(center, g, vals, h0, rays), *_b1_candidates(center, g, vals, h0, b1)]
     cands.sort(key=lambda c: (c.g, c.ctype, c.fbar))
     return cands
 

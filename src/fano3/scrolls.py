@@ -96,8 +96,8 @@ def hyperelliptic_candidates(g: int) -> list[HyperellipticCandidate]:
     branch class 4M + 2(2 - sum d_i) F = (4, 2(3-g))."""
     if g < 2:
         raise ValueError("genus must be >= 2")
-    # Fraction, not int: the branch class is rational in the JSON contract,
-    # and the case-list payloads serialize these coordinates as they stand.
+    # Fraction, not int: bench/ digests these coordinates as they stand and
+    # pins the Fraction form (cli wraps each one in Fraction itself).
     branch = cls2(Basis.MF, Fraction(4), Fraction(2 * (3 - g)))
     # _make is tuple.__new__ and skips ScrollData's checks: _splittings only
     # yields descending tuples of positive parts of the requested length
@@ -137,7 +137,7 @@ def trigonal_candidates(g: int) -> list[TrigonalCandidate]:
     # = 2*total - 3k - 4 for every splitting.  It decreases in k, so the
     # first negative value is at k0, and it exists exactly when d_1 >= k0.
     k0 = (2 * total - 4) // 3 + 1
-    witness = Fraction(2 * total - 3 * k0 - 4)
+    witness = Fraction(2 * total - 3 * k0 - 4)  # Fraction for bench/, as the branch class
     # as in hyperelliptic_candidates, the rows are valid by construction
     scroll = ScrollData._make
     make = TrigonalCandidate._make

@@ -1,6 +1,7 @@
-"""The benchmark's reference digests, checked in the test suite so that a
-change to any enumeration shows without a benchmark run.  bench/workloads.py
-is loaded read-only: no bytecode is written next to it."""
+"""The benchmark's reference digests and one benchmark pass, checked in the
+test suite so that a change to any enumeration, or to a name or parameter the
+benchmark calls, shows without a benchmark run.  bench/workloads.py and
+bench/tracing.py are loaded read-only: no bytecode is written next to them."""
 
 import importlib.util
 import json
@@ -15,8 +16,8 @@ BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 REFERENCE = json.loads((BENCH / "reference.json").read_text())
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -26,7 +27,7 @@ def _load_workloads():
     return module
 
 
-workloads = _load_workloads()
+workloads, tracing = _load("workloads"), _load("tracing")
 
 
 @pytest.mark.parametrize("center", workloads.CENTERS)
@@ -51,3 +52,25 @@ def test_case_lists_match_reference(kind):
 
 def test_catalog_check_count_matches_reference():
     assert len(catalog.verify_all()) == REFERENCE["catalog_checks"]
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+def test_one_benchmark_pass_succeeds(traced):
+    # the traced pass binds search_bound and bound by name and patches every
+    # traced function, so renaming one of them fails here
+    ctx = workloads.Context(BENCH.parent, REFERENCE)
+    tracer = tracing.Tracer()
+    if traced:
+        tracer.install()
+    try:
+        for seed in (1, 2):
+            for workload in ("reproduce", "sweep"):
+                for op in workloads.build_ops(workload, workloads.make_inputs(workload, seed, 1), ctx):
+                    assert op.check(op.call()), (workload, seed, op.kind)
+            for argv in workloads.make_inputs("cli", seed, 1)["argv"]:
+                assert workloads.run_main(argv)[0] == 0, argv
+    finally:
+        tracer.uninstall()
+    if traced:
+        seen = {span[0] for span in tracer.spans}
+        assert {"sarkisov.enumerate_links", "sarkisov.rho2_primitive_enumerate", "catalog.verify_all"} <= seen

@@ -158,7 +158,10 @@ def _with_first_blowup(entry, **changes):
     return entry._replace(construction=construction)
 
 
-def test_verify_returns_on_every_single_field_mutant(cat):
+def _single_field_mutants(cat):
+    """Each entry with one numeric field, one hyperplane-section field or one
+    field of its first blowup moved by +-1 or +-2, or that blowup's target
+    replaced by an unknown id."""
     fields = ("index", "antik_cube", "genus", "h12", "chi_top", "kc2", "h0_tangent", "moduli_dim", "rho")
     mutants = []
     for entry in cat.entries:
@@ -166,12 +169,22 @@ def test_verify_returns_on_every_single_field_mutant(cat):
             value = getattr(entry, field)
             if value is not None:
                 mutants += [entry._replace(**{field: value + d}) for d in (-2, -1, 1, 2)]
+        hs = entry.hyperplane_section
+        if hs is not None:
+            for key in ("k2", "rho"):
+                for d in (-2, -1, 1, 2):
+                    mutants.append(entry._replace(hyperplane_section={**hs, key: hs[key] + d}))
         if entry.construction and "blowups" in entry.construction:
             bl = entry.construction["blowups"][0]
             mutants.append(_with_first_blowup(entry, of="nope"))
             for d in (-2, -1, 1, 2):
                 mutants.append(_with_first_blowup(entry, deg=bl["deg"] + d))
                 mutants.append(_with_first_blowup(entry, genus=bl["genus"] + d))
+    return mutants
+
+
+def test_verify_returns_on_every_single_field_mutant(cat):
+    mutants = _single_field_mutants(cat)
     assert len(mutants) > 1800
     for mutant in mutants:
         results = catalog.verify(mutant)
@@ -179,6 +192,30 @@ def test_verify_returns_on_every_single_field_mutant(cat):
     # an unknown blowdown target fails its own check, with no lhs
     failed = [r for r in catalog.verify(_with_first_blowup(cat.by_id("rho2-impb-v3"), of="nope")) if not r.passed]
     assert [(r.check, r.lhs) for r in failed] == [("blowdown-consistency-0", None)]
+
+
+def _check_name(result):
+    # the blowdown checks of one entry are numbered; they count as one check
+    return "blowdown-consistency" if result.check.startswith("blowdown-consistency-") else result.check
+
+
+def test_checks_that_no_single_field_mutant_fails_alone(cat):
+    # every other check has a mutant that fails it and no other check; these
+    # five fail only together with another check, or never
+    names, alone = set(), set()
+    for mutant in _single_field_mutants(cat):
+        results = catalog.verify(mutant)
+        names |= {_check_name(r) for r in results}
+        failed = {_check_name(r) for r in results if not r.passed}
+        if len(failed) == 1:
+            alone |= failed
+    assert names - alone == {
+        "degree-bound-rho1",
+        "degree-top-index",
+        "dp-degree-range",
+        "h0-anticanonical",
+        "index-range",
+    }
 
 
 def test_imprimitive_h12_matches_blowup_bookkeeping(cat):

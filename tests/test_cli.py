@@ -296,6 +296,7 @@ def test_repeated_runs_are_byte_identical():
         # (-K)^dim = 1998^1998 * 2 has more digits than Python prints
         (["wps", "--weights", ",".join(["1"] * 2000), "--degrees", "2"],
          "Exceeds the limit (4300 digits) for integer string conversion"),
+        (["scroll", "--hyperelliptic", "1"], "genus must be >= 2"),
     ],
 )
 def test_invalid_input_exits_two_with_message(argv, message, capsys):

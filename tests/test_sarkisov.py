@@ -342,8 +342,9 @@ def test_solved_trials_cover_every_box_point():
 # Synthetic (center, g, vals, trial) that each guard of _ray_candidates
 # rejects after every earlier check passed; without that guard the trial
 # comes out as a candidate.  vals = (k3, ke, kee, e3); q2 = (-K).Fbar^2 and
-# lin = (-K)^2.Fbar of Fbar = a(-K) - bE pick the type.  At g = 2 the
-# bound h^0(-K_tilde - E) >= g - 5 shows nothing, so no m_cap is set.
+# lin = (-K)^2.Fbar of Fbar = a(-K) - bE pick the type.  Each trial is on
+# the line, where the cell's bound is h^0(-K_tilde - E) >= g - 5; at g = 2 it
+# shows nothing, so no m_cap is set.
 RAY_GUARDS = {
     # B5 (q2 = -2, lin = 1) with b = 1: iota = b*lin/(2*mu) = 1/2 floors to
     # 0, which the next line would divide by.
@@ -366,12 +367,12 @@ RAY_GUARDS = {
 
 @pytest.mark.parametrize("center,g,vals,trial", RAY_GUARDS.values(), ids=RAY_GUARDS)
 def test_ray_guard_drops_its_trial(center, g, vals, trial):
-    assert list(_ray_candidates(center, g, vals, [trial])) == []
+    assert list(_ray_candidates(center, g, vals, g - 5, [trial])) == []
 
 
 def test_b1_index_one_drops_odd_target_degree():
     # a_m = 4: a_f = 3 and d(Y) = Mbar^2.(-K) = 16 - 5 = 11 is odd
-    assert list(_b1_candidates("line", 2, (1, 0, -5, -2), {1: [4]})) == []
+    assert list(_b1_candidates("line", 2, (1, 0, -5, -2), -3, {1: [4]})) == []
 
 
 def test_integer_roots_need_a_square_discriminant():
