@@ -8,6 +8,7 @@ cross-checks.
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
 from fano3.exactcore import Basis, Rat, TrilinearForm, form2
@@ -29,6 +30,21 @@ class CurveCenter(NamedTuple("CurveCenter", [("deg_antik", int), ("genus", int)]
 
 class PointCenter(NamedTuple):
     """Marker for a point center."""
+
+
+def vanishing_conditions(center: CurveCenter | PointCenter, t: int, k: int) -> int:
+    """chi(V, -tK_V) - chi(V_tilde, sigma^*(-tK_V) - kE), the conditions to
+    vanish to order k along Z: the chi of the layers O_Z(-tK_V) (x) Sym^j N*_Z,
+    j < k.  At a point layer j has length C(j + 2, 2); on a curve of genus h
+    it has rank j + 1 and degree (j + 1)t*d0 - C(j + 1, 2)(d0 + 2h - 2), as
+    deg N_Z = d0 + 2h - 2.  The tests check the sum by Hirzebruch-Riemann-Roch
+    with c2(V_tilde).E = d0 (Fulton, Intersection Theory, 15.4)."""
+    if k < 0:
+        raise ValueError(f"vanishing order must be >= 0, got {k}")
+    if isinstance(center, PointCenter):
+        return comb(k + 2, 3)
+    d0, h = center.deg_antik, center.genus
+    return comb(k + 1, 2) * (t * d0 + 1 - h) - comb(k + 1, 3) * (d0 + 2 * h - 2)
 
 
 def pullback_form_curve(antik_cube: Rat, center: CurveCenter) -> TrilinearForm:

@@ -110,7 +110,8 @@ def parse_mf_class(text: str) -> DivisorClass:
     from fano3.exactcore import Basis, cls2
 
     cleaned = text.replace(" ", "")
-    if not re.fullmatch(r"([+-]?\d*[MF])+", cleaned):
+    # a sign before every term after the first: "MF" and "2M3F" are not classes
+    if not re.fullmatch(r"[+-]?\d*[MF]([+-]\d*[MF])*", cleaned):
         raise ValueError(f"cannot parse divisor class {text!r}")
     coords = {"M": 0, "F": 0}
     for coeff, name in _CLASS_TERM.findall(cleaned):

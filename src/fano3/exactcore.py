@@ -39,9 +39,6 @@ class DivisorClass(NamedTuple("DivisorClass", [("basis", Basis), ("coords", tupl
             raise ValueError(f"a class has 2 coordinates, got {len(coords)}")
         return super().__new__(cls, basis, coords)
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
 
 def cls2(basis: Basis, a: Rat, b: Rat) -> DivisorClass:
     return DivisorClass(basis, (a, b))
@@ -102,7 +99,7 @@ def change_basis(
     if len(new_basis) != 2:
         raise ValueError("change_basis needs two basis vectors")
     u, v = new_basis
-    if not (u.is_integral() and v.is_integral()):
+    if any(c.denominator != 1 for c in (*u.coords, *v.coords)):
         raise ValueError("new basis vectors must have integer coordinates")
     det = u.coords[0] * v.coords[1] - u.coords[1] * v.coords[0]
     if det == 0:

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
-from fano3.blowup import CurveCenter, PointCenter, blowup_curve, blowup_point
+from fano3.blowup import CurveCenter, PointCenter, blowup_curve, blowup_point, vanishing_conditions
 from fano3.exactcore import TrilinearForm
 
 Center = Literal["line", "conic", "point"]
@@ -59,7 +59,7 @@ POINT_SINGULARITY = {
 #   lin = ke, and a = 2*ke/k3 then gives k3 <= 2*ke.
 # - B1 onto iota >= 2: k3*a^2 = 2*ke*a + 2 + iota*d (_b1_trials) with a >= 1
 #   and iota*d <= 10 (B1_DEGREES) gives k3 <= 2*ke + 12.
-# - B1 onto iota = 1: _b1_trials gives none once _h0_lower_bound >= 2.
+# - B1 onto iota = 1: _b1_trials gives none once the cell's bound h0 >= 2.
 # So k3 <= 36 on the line and 32 on the conic and the point: g <= 21, 20, 21.
 GENUS_CAP = 21
 
@@ -127,24 +127,12 @@ def midpoint_form(center: Center, g: int) -> TrilinearForm:
     return blowup_point(c) if isinstance(data, PointCenter) else blowup_curve(c, data)
 
 
-def _h0_lower_bound(center: Center, g: int) -> int:
-    """h^0(-K_tilde - E) >= h^0(-K) - c = g + 2 - c.  -K_tilde - E is
-    sigma^*(-K) - 2E over a curve and sigma^*(-K) - 3E over a point, so c
-    counts the conditions for a section of -K to vanish to order 2 along a
-    smooth rational curve C of (-K)-degree delta, h^0(O_C(-K)) +
-    h^0(N*_C(-K)) = (delta + 1) + (delta + 4) = 2*delta + 5, or to order 3
-    at a point, C(5, 3) = 10."""
-    data = CENTER_DATA[center]
-    c = 10 if isinstance(data, PointCenter) else 2 * data.deg_antik + 5
-    return g + 2 - c
-
-
 def _m_cap(h0: int, a: int, b: int, birational: bool) -> Optional[int]:
     """The largest m with b >= m*a, which holds whenever |-K - m*Ebar| is
     non-empty, strictly (b > m*a) for birational contractions once that
-    system moves; None where h0 = _h0_lower_bound does not show it
-    non-empty.  A cap of 0 fails effectivity (m = 1), so the caller rejects
-    the trial."""
+    system moves; None where h0, the cell's lower bound on h^0(-K_tilde - E),
+    does not show it non-empty.  A cap of 0 fails effectivity (m = 1), so
+    the caller rejects the trial."""
     if h0 < 1:
         return None
     return (b - 1) // a if (birational and h0 >= 2) else b // a
@@ -338,7 +326,10 @@ def _enumerate_cell(center: Center, g: int, bound: int) -> list[LinkCandidate]:
     vals = midpoint_form(center, g).values
     if vals[0] <= 0:
         return []
-    h0 = _h0_lower_bound(center, g)
+    # h0 <= h^0(-K_tilde - E) = h^0(sigma^*(-K) - kE), k = 2 on a curve and 3 at
+    # a point: h^0(-K) = g + 2 less the conditions to vanish to order k, given
+    # the hypothesis that every layer O_Z(-K) (x) Sym^j N*_Z has h^1 = 0 on Z.
+    h0 = g + 2 - vanishing_conditions(CENTER_DATA[center], 1, 3 if center == "point" else 2)
     if bound:
         rays, b1 = _ray_box(vals, bound), dict.fromkeys((1, 2, 3, 4), range(1, bound + 1))
     else:
@@ -365,8 +356,9 @@ def enumerate_links(
     genus given: the brute-force oracle the tests compare the solve against."""
     if search_bound < 0:
         raise ValueError(f"search_bound must be >= 0, got {search_bound}")
-    if not search_bound and isinstance(g_range, range) and g_range.step > 0:
+    if not search_bound and isinstance(g_range, range):
         # no genus above the cap has a candidate, so a range may be any width
+        g_range = g_range if g_range.step > 0 else g_range[::-1]
         g_range = range(g_range.start, min(g_range.stop, GENUS_CAP + 1), g_range.step)
     genera = sorted(set(int(g) for g in g_range))
     if genera and genera[0] < 2:

@@ -28,14 +28,6 @@ class WeightSystem(NamedTuple("WeightSystem", [("weights", tuple[int, ...])])):
     def dim(self) -> int:
         return len(self.weights) - 1
 
-    @property
-    def total(self) -> int:
-        return sum(self.weights)
-
-    @property
-    def product(self) -> int:
-        return math.prod(self.weights)
-
 
 def _cofactor_gcds(weights: Sequence[int]) -> list[int]:
     """For each i, the gcd of every weight but w_i, from a prefix and a suffix pass."""
@@ -113,11 +105,11 @@ def ci_fano_invariants(spec: CompleteIntersectionSpec) -> CiInvariants:
     w, degs = spec.weights, spec.degrees
     if not is_well_formed(w):
         raise ValueError("normalize the weight system first")
-    iota = w.total - sum(degs)
+    iota = sum(w.weights) - sum(degs)
     if iota <= 0:
-        raise ValueError(f"sum(degrees) = {sum(degs)} >= sum(weights) = {w.total}")
+        raise ValueError(f"sum(degrees) = {sum(degs)} >= sum(weights) = {sum(w.weights)}")
     dim = w.dim - len(degs)
-    antik = Fraction(iota**dim * math.prod(degs), w.product)
+    antik = Fraction(iota**dim * math.prod(degs), math.prod(w.weights))
     warnings = []
     if w.dim < 4:
         warnings.append("ambient dimension < 4: index via Lefschetz not guaranteed")

@@ -1,14 +1,19 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fano3.blowup import (
     CurveCenter,
+    PointCenter,
     blowup_curve,
     blowup_point,
     pullback_form_curve,
+    vanishing_conditions,
 )
 from fano3.exactcore import Basis, change_basis, cls2, eval_form, form2
+from fano3.riemannroch import FanoNumerics, hilbert_polynomial
 
 
 def quad(form):
@@ -112,3 +117,53 @@ def test_point_quadruple_shape_differs_from_curves():
         curve = blowup_curve(c - 2, CurveCenter(2, 0))  # same (-K)^3, E^3 = 0
         assert point.values[0] == curve.values[0]
         assert point.values[3] != curve.values[3]
+
+
+def _hrr_chi(form, d, c2_e):
+    """chi(O(D)) on a blowup V_tilde of (-K, E)-form `form` by
+    Hirzebruch-Riemann-Roch, with c1 = -K_tilde, c2.(-K_tilde) = 24 (so
+    chi(O) = c1.c2/24 = 1) and c2.E = c2_e."""
+    k = cls2(Basis.KE, 1, 0)
+    c2_d = 24 * d.coords[0] + c2_e * d.coords[1]
+    return (
+        Fraction(eval_form(form, d, d, d), 6)
+        + Fraction(eval_form(form, d, d, k), 4)
+        + Fraction(eval_form(form, d, k, k) + c2_d, 12)
+        + 1
+    )
+
+
+@pytest.mark.parametrize("g", [2, 5, 7, 12])
+def test_vanishing_conditions_against_hirzebruch_riemann_roch(g):
+    # sigma^*(-tK) - kE is t(-K_tilde) + (t - k)E over a curve, as K_tilde =
+    # sigma^*K + E, and t(-K_tilde) + (2t - k)E over a point, as K_tilde =
+    # sigma^*K + 2E; c2(V_tilde).E is (-K).Z over a curve and 0 over a point
+    chi = hilbert_polynomial(FanoNumerics.from_genus(3, g))
+    cube = 2 * g - 2
+    cases = [
+        (CurveCenter(d0, h), blowup_curve(cube, CurveCenter(d0, h)), 1, d0)
+        for d0 in range(1, 8)
+        for h in range(4)
+    ]
+    cases.append((PointCenter(), blowup_point(cube), 2, 0))
+    for center, form, e_pull, c2_e in cases:
+        for t in range(5):
+            for k in range(5):
+                d = cls2(Basis.KE, t, e_pull * t - k)
+                expected = chi(t) - _hrr_chi(form, d, c2_e)
+                assert vanishing_conditions(center, t, k) == expected, (center, t, k)
+
+
+def test_vanishing_conditions_of_the_link_cells():
+    # order 2 along a curve and 3 at a point: h^0(-K_tilde - E) >= g + 2 - c
+    assert vanishing_conditions(CurveCenter(1, 0), 1, 2) == 7  # line
+    assert vanishing_conditions(CurveCenter(2, 0), 1, 2) == 9  # conic
+    assert vanishing_conditions(PointCenter(), 1, 3) == 10
+    # 2*d0 + 5 - 5h off the rational curves
+    assert [vanishing_conditions(CurveCenter(d0, h), 1, 2) for d0, h in [(3, 0), (4, 1), (6, 3)]] == [11, 8, 2]
+
+
+def test_vanishing_conditions_reject_a_negative_order():
+    for center in (CurveCenter(1, 0), PointCenter()):
+        with pytest.raises(ValueError, match="vanishing order must be >= 0, got -1"):
+            vanishing_conditions(center, 1, -1)

@@ -297,6 +297,9 @@ def test_repeated_runs_are_byte_identical():
         (["wps", "--weights", ",".join(["1"] * 2000), "--degrees", "2"],
          "Exceeds the limit (4300 digits) for integer string conversion"),
         (["scroll", "--hyperelliptic", "1"], "genus must be >= 2"),
+        # a term after the first needs its sign: not M + F, nor 2M + 3F
+        (["scroll", "--weights", "1,1", "--intersect", "MF,M"], "expects classes like 3M-4F,M-F"),
+        (["scroll", "--weights", "1,1", "--intersect", "2M3F,M"], "expects classes like 3M-4F,M-F"),
     ],
 )
 def test_invalid_input_exits_two_with_message(argv, message, capsys):

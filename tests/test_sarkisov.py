@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from fano3 import catalog, sarkisov
-from fano3.blowup import CurveCenter, PointCenter
+from fano3.blowup import CurveCenter, PointCenter, vanishing_conditions
 from fano3.cli import main
 from fano3.exactcore import Basis, cls2, eval_form, form2
+from fano3.riemannroch import FanoNumerics, hilbert_polynomial
 from fano3.sarkisov import (
     GENUS_CAP,
     RAY2_ORDER,
@@ -204,6 +205,30 @@ def test_point_case_list():
     assert k[(7, "B2", (2, 1))].mbar == (5, 2)
 
 
+def _chi_double_anticanonical_minus_five_e(g):
+    """chi(2 sigma^*(-K) - 5E) on the blowup of a point, for Fbar = (2, 1)."""
+    return hilbert_polynomial(FanoNumerics.from_genus(3, g))(2) - vanishing_conditions(PointCenter(), 2, 5)
+
+
+def test_geometric_rule_fires_only_where_its_divisor_has_no_positive_chi():
+    # Fbar = 2(-K_tilde) - E = 2 sigma^*(-K) - 5E at a point.  Emptiness of
+    # |Fbar| also needs h^0 = chi, a vanishing the rule assumes.
+    assert [_chi_double_anticanonical_minus_five_e(g) for g in range(2, 13)] == [
+        5 * g - 35 for g in range(2, 13)
+    ]
+    geo = "excluded:geometric:double-anticanonical-minus-center-empty"
+    fired = [
+        c
+        for center in ("line", "conic", "point")
+        for c in enumerate_links(center, range(2, GENUS_CAP + 1))
+        if c.status == geo
+    ]
+    assert [(c.center, c.g, c.ctype) for c in fired] == [("point", 7, "B1"), ("point", 7, "B2")]
+    for c in fired:
+        assert c.fbar == (2, 1)
+        assert _chi_double_anticanonical_minus_five_e(c.g) <= 0
+
+
 def test_point_empty_beyond_thirteen():
     assert enumerate_links("point", range(14, 41)) == []
     assert enumerate_links("conic", range(13, 41)) == []
@@ -287,6 +312,21 @@ def test_default_path_clips_a_range_at_the_genus_cap(center, monkeypatch):
     monkeypatch.undo()
     start = time.perf_counter()
     wide = enumerate_links(center, range(5, 10**12))
+    assert time.perf_counter() - start < 1.0
+    assert wide == enumerate_links(center, range(5, GENUS_CAP + 1))
+
+
+@pytest.mark.parametrize("center", ["line", "conic", "point"])
+def test_default_path_clips_a_descending_range_at_the_genus_cap(center, monkeypatch):
+    # a descending range is reversed before the clip, so it is as cheap
+    visited = []
+    cell = sarkisov._enumerate_cell
+    monkeypatch.setattr(sarkisov, "_enumerate_cell", lambda c, g, b: visited.append(g) or cell(c, g, b))
+    enumerate_links(center, range(10**12 + 5, 4, -(10**9)))
+    assert visited == [5]
+    monkeypatch.undo()
+    start = time.perf_counter()
+    wide = enumerate_links(center, range(10**12, 4, -1))
     assert time.perf_counter() - start < 1.0
     assert wide == enumerate_links(center, range(5, GENUS_CAP + 1))
 
