@@ -12,6 +12,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 from typing import Any, NamedTuple, Optional
 
 
@@ -28,8 +29,8 @@ class CatalogEntry(NamedTuple):
     flags: tuple[str, ...] = ()
     family: Optional[str] = None
     rays: Optional[tuple[str, str]] = None
-    construction: Optional[dict] = None
-    hyperplane_section: Optional[dict] = None
+    construction: Optional[MappingProxyType] = None
+    hyperplane_section: Optional[MappingProxyType] = None
     h0_tangent: Optional[int] = None
     moduli_dim: Optional[int] = None
 
@@ -43,10 +44,10 @@ class FactRecord(NamedTuple):
 class Catalog(NamedTuple):
     entries: tuple[CatalogEntry, ...]
     facts: tuple[FactRecord, ...]
-    geometric_exclusions: tuple[dict, ...]
-    mukai_models: tuple[dict, ...]
-    scroll_models: dict
-    counts: dict
+    geometric_exclusions: tuple[MappingProxyType, ...]
+    mukai_models: tuple[MappingProxyType, ...]
+    scroll_models: MappingProxyType
+    counts: MappingProxyType
 
     def by_id(self, entry_id: str) -> CatalogEntry:
         for e in self.entries:
@@ -82,19 +83,23 @@ class Catalog(NamedTuple):
         return [f for f in self.facts if f.subject == subject] + [euler]
 
 
+def _frozen(obj: dict) -> MappingProxyType:
+    """json object_hook: a read-only view with arrays as tuples, as every caller shares it."""
+    for key, value in obj.items():
+        if type(value) is list:
+            obj[key] = tuple(value)
+    return MappingProxyType(obj)
+
+
 @lru_cache(maxsize=1)
 def load() -> Catalog:
-    raw = json.loads(resources.files("fano3.data").joinpath("classification.json").read_text())
-    entries = tuple(
-        CatalogEntry(**{**e, "flags": tuple(e.get("flags", ())), "rays": tuple(e.get("rays", ())) or None})
-        for e in raw["entries"]
-    )
-    facts = tuple(FactRecord(f["subject"], f["predicate"], f["value"]) for f in raw["facts"])
+    text = resources.files("fano3.data").joinpath("classification.json").read_text()
+    raw = json.loads(text, object_hook=_frozen)
     return Catalog(
-        entries=entries,
-        facts=facts,
-        geometric_exclusions=tuple(raw["geometric_exclusions"]),
-        mukai_models=tuple(raw["mukai_models"]),
+        entries=tuple(CatalogEntry(**e) for e in raw["entries"]),
+        facts=tuple(FactRecord(f["subject"], f["predicate"], f["value"]) for f in raw["facts"]),
+        geometric_exclusions=raw["geometric_exclusions"],
+        mukai_models=raw["mukai_models"],
         scroll_models=raw["scroll_models"],
         counts=raw["counts"],
     )
@@ -197,14 +202,11 @@ def link_facts() -> LinkFactStore:
     holds = {(f.predicate, key[f.subject]) for f in cat.facts if f.value and f.subject in key}
     rational = frozenset(k for predicate, k in holds if predicate == "Rational")
     irrational = frozenset(k for predicate, k in holds if predicate == "Irrational")
-    rules = {(r["center"], tuple(r["fbar"])): r["rule"] for r in cat.geometric_exclusions}
+    rules = {(r["center"], r["fbar"]): r["rule"] for r in cat.geometric_exclusions}
     return LinkFactStore(chi, rational, irrational, rules)
 
 
 def realized_scrolls(kind: str, genus: int) -> dict[tuple[int, ...], str]:
     """splitting -> entry id for the realized models of the given kind/genus."""
-    out = {}
-    for row in load().scroll_models[kind]:
-        if row["genus"] == genus and row["entry"]:
-            out[tuple(row["splitting"])] = row["entry"]
-    return out
+    rows = load().scroll_models[kind]
+    return {row["splitting"]: row["entry"] for row in rows if row["genus"] == genus and row["entry"]}

@@ -11,6 +11,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Any, Optional, Sequence
 
 
@@ -19,7 +20,7 @@ def _jsonable(obj: Any) -> Any:
     # test goes through ABCMeta.__instancecheck__ and comes last
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, MappingProxyType)):  # the catalog's objects are proxies
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if type(obj) in (list, tuple):  # not a record, though every record is a tuple
         return [_jsonable(v) for v in obj]
@@ -296,17 +297,13 @@ def _cmd_rho2(args, out) -> int:
 
 # --- catalog --------------------------------------------------------------
 
-def _entry_payload(e: catalog.CatalogEntry) -> dict:
-    return {k: v for k, v in e._asdict().items() if v is not None}
-
-
 def _cmd_catalog(args, out) -> int:
     from fano3 import catalog
 
     cat = catalog.load()
     if args.action == "list":
         entries = cat.list(rho=args.rho, index=args.index, genus=args.genus, flag=args.flag)
-        payload = [_entry_payload(e) for e in entries]
+        payload = [{k: v for k, v in e._asdict().items() if v is not None} for e in entries]
         table = "\n".join(
             f"{e.id:22s} rho={e.rho:<2d} iota={e.index} (-K)^3={e.antik_cube:<3d} "
             f"h12={e.h12:<2d} chi={e.chi_top:<5d} {e.description}"

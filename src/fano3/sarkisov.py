@@ -109,10 +109,6 @@ class LinkCandidate(NamedTuple):
         return MU[self.ctype]
 
     @property
-    def birational(self) -> bool:
-        return self.ctype.startswith("B")
-
-    @property
     def confirmed(self) -> bool:
         return self.status == "confirmed"
 
@@ -356,11 +352,12 @@ def enumerate_links(
     genus given: the brute-force oracle the tests compare the solve against."""
     if search_bound < 0:
         raise ValueError(f"search_bound must be >= 0, got {search_bound}")
-    if not search_bound and isinstance(g_range, range):
-        # no genus above the cap has a candidate, so a range may be any width
-        g_range = g_range if g_range.step > 0 else g_range[::-1]
-        g_range = range(g_range.start, min(g_range.stop, GENUS_CAP + 1), g_range.step)
-    genera = sorted(set(int(g) for g in g_range))
+    if isinstance(g_range, range):  # ascending, a range is sorted without repeats: never listed
+        genera = g_range if g_range.step > 0 else g_range[::-1]
+        if not search_bound:  # no genus above the cap has a candidate
+            genera = range(genera.start, min(genera.stop, GENUS_CAP + 1), genera.step)
+    else:
+        genera = sorted(set(int(g) for g in g_range))
     if genera and genera[0] < 2:
         raise ValueError(f"genus must be >= 2, got {genera[0]}")
     candidates = [cand for g in genera for cand in _enumerate_cell(center, g, search_bound)]
@@ -403,8 +400,11 @@ def _status(cand: LinkCandidate, facts: catalog.LinkFactStore) -> str:
     target = cand.target.fano()
     if source in facts.rational and target in facts.irrational:
         return "excluded:rationality"
+    # The one geometric rule calls |Fbar| empty for the point's Fbar =
+    # 2 sigma*(-K) - 5E, whose chi is 5g - 35, <= 0 only for g <= 7; "empty"
+    # further needs h^0 = chi, a vanishing taken as a hypothesis, not derived.
     rule = facts.geometric_rules.get((cand.center, cand.fbar))
-    if cand.birational and rule is not None:
+    if rule is not None and cand.ctype.startswith("B"):  # a birational second ray
         return f"excluded:geometric:{rule}"
     if cand.ctype in ("B1", "B2"):
         chi_x = facts.chi[source]

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -263,3 +264,21 @@ def test_link_facts_shape():
     assert facts.geometric_rules == {("point", (2, 1)): "double-anticanonical-minus-center-empty"}
     # one rule per (center, fbar): a repeated key would silently replace a rule
     assert len(facts.geometric_rules) == len(catalog.load().geometric_exclusions)
+
+
+def test_everything_load_reaches_is_read_only(cat):
+    # the cached catalog is shared by every caller, so nothing in it may change
+    stack, mappings = [cat], 0
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, MappingProxyType):
+            mappings += 1
+            for key in (next(iter(obj)), "tampered"):
+                with pytest.raises(TypeError):
+                    obj[key] = None
+            stack.extend(obj.values())
+        elif isinstance(obj, tuple):  # a plain tuple or a NamedTuple record
+            stack.extend(obj)
+        else:
+            assert obj is None or type(obj) in (bool, int, str), obj
+    assert mappings > 100

@@ -13,6 +13,7 @@ import time
 import tokenize
 from decimal import Decimal
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -180,6 +181,25 @@ def test_scroll_case_list_output(argv, expected):
     assert run(argv) == (0, expected)
 
 
+def test_catalog_list_payload_cannot_change_the_catalog(monkeypatch):
+    # a payload row holds the cached catalog's own objects, so they must refuse
+    # a write: tampering through one would change the catalog for the process
+    from fano3 import catalog, cli
+
+    want = run(["catalog", "list", "--json"])
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda out, payload, as_json, table: payloads.append(payload))
+    assert main(["catalog", "list", "--json"]) == 0
+    nested = [row[key] for row in payloads[0] for key in ("construction", "hyperplane_section") if key in row]
+    assert len(nested) == 32 + 10  # constructions and hyperplane sections
+    for mapping in nested:
+        with pytest.raises(TypeError):
+            mapping["tampered"] = True
+    monkeypatch.undo()
+    assert run(["catalog", "list", "--json"]) == want
+    assert not any("tampered" in (e.construction or {}) for e in catalog.load().entries)
+
+
 def test_scroll_payload_wraps_the_witness(monkeypatch):
     # the payload declares the witness rational, whatever type the library gives
     from fano3 import scrolls
@@ -300,6 +320,8 @@ def test_repeated_runs_are_byte_identical():
         # a term after the first needs its sign: not M + F, nor 2M + 3F
         (["scroll", "--weights", "1,1", "--intersect", "MF,M"], "expects classes like 3M-4F,M-F"),
         (["scroll", "--weights", "1,1", "--intersect", "2M3F,M"], "expects classes like 3M-4F,M-F"),
+        # the least genus of a range is checked before the range is listed
+        (["link", "--center", "line", "--genus-range=-1000000000000..5"], "genus must be >= 2, got -1000000000000"),
     ],
 )
 def test_invalid_input_exits_two_with_message(argv, message, capsys):
@@ -437,8 +459,11 @@ def test_dumps_rejects_records_though_they_are_tuples():
         (Fraction(-3, 2), '{"den":"2","num":"-3"}'),
         (Fraction(4), '{"den":"1","num":"4"}'),
         ({2: [1, (None, Fraction(1, 3))], Basis.KE: {}}, '{"2":[1,[null,{"den":"3","num":"1"}]],"KE":{}}'),
+        # the catalog's objects: as the same nesting of dicts
+        (MappingProxyType({2: MappingProxyType({"a": (1, None)})}), '{"2":{"a":[1,null]}}'),
     ],
-    ids=["bool", "int", "bigint", "str", "str-enum", "none", "fraction", "integral-fraction", "nested"],
+    ids=["bool", "int", "bigint", "str", "str-enum", "none", "fraction", "integral-fraction", "nested",
+         "mapping-proxy"],
 )
 def test_dumps_accepts(obj, expected):
     assert dumps(obj) == expected + "\n"

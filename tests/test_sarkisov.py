@@ -316,6 +316,17 @@ def test_default_path_clips_a_range_at_the_genus_cap(center, monkeypatch):
     assert wide == enumerate_links(center, range(5, GENUS_CAP + 1))
 
 
+def test_a_range_below_genus_two_is_rejected_before_it_is_listed():
+    # the least genus of a range of either direction is checked first, so a
+    # start far below 2 is as cheap as a wide range above the cap
+    start = time.perf_counter()
+    for g_range, least in ((range(-(10**12), 5), -(10**12)), (range(5, -(10**12), -1), 1 - 10**12)):
+        for bound in (0, 1):
+            with pytest.raises(ValueError, match=f"genus must be >= 2, got {least}$"):
+                enumerate_links("line", g_range, search_bound=bound)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("center", ["line", "conic", "point"])
 def test_default_path_clips_a_descending_range_at_the_genus_cap(center, monkeypatch):
     # a descending range is reversed before the clip, so it is as cheap
