@@ -9,8 +9,11 @@ any command does.
 """
 
 import sys
+from pathlib import Path
 
-from fano3.cli import main
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # run from a checkout
+
+from fano3.cli import main  # noqa: E402
 
 COMMANDS = [
     *(["link", "--center", c, "--genus-range", "7..40", "--show-excluded"]

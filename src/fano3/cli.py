@@ -33,13 +33,6 @@ def dumps(obj: Any) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(out, payload: Any, as_json: bool, table: str) -> None:
-    if as_json:
-        out.write(dumps(payload))
-    else:
-        out.write(table + "\n")
-
-
 # --- rr -------------------------------------------------------------------
 
 # hilbert_polynomial costs about dim^2 integer operations (3.5 ms at dim 100,
@@ -52,7 +45,7 @@ RR_MAX_T = 10**6
 SCROLL_MAX_GENUS = 100
 
 
-def _cmd_rr(args, out) -> int:
+def _cmd_rr(args) -> tuple[Any, str]:
     from fano3 import riemannroch
 
     if args.dim > RR_MAX_DIM:
@@ -76,13 +69,12 @@ def _cmd_rr(args, out) -> int:
         "coefficients": list(chi.coeffs),
         "h0_fundamental": riemannroch.h0_fundamental(fn),
     }
-    _emit(out, payload, args.json, str(value))
-    return 0
+    return payload, str(value)
 
 
 # --- blowup ---------------------------------------------------------------
 
-def _cmd_blowup(args, out) -> int:
+def _cmd_blowup(args) -> tuple[Any, str]:
     from fano3 import blowup
 
     if args.point:
@@ -97,9 +89,7 @@ def _cmd_blowup(args, out) -> int:
     if form.not_big:
         table += "\nflag: anticanonical class not big"
     values = [Fraction(v) for v in form.values]  # rational in the JSON contract
-    payload = {"center": center, "basis": "KE", "values": values, "not_big": form.not_big}
-    _emit(out, payload, args.json, table)
-    return 0
+    return {"center": center, "basis": "KE", "values": values, "not_big": form.not_big}, table
 
 
 # --- scroll ---------------------------------------------------------------
@@ -120,7 +110,7 @@ def parse_mf_class(text: str) -> DivisorClass:
     return cls2(Basis.MF, coords["M"], coords["F"])
 
 
-def _cmd_scroll(args, out) -> int:
+def _cmd_scroll(args) -> tuple[Any, str]:
     from fano3 import scrolls
 
     if (args.weights is None) == (args.hyperelliptic is None and args.trigonal is None):
@@ -151,29 +141,23 @@ def _cmd_scroll(args, out) -> int:
             + (f" (witness {r['witness']} at k={r['witness_k']})" if r.get("witness") is not None else "")
             for r in rows
         )
-        _emit(out, rows, args.json, table)
-        return 0
+        return rows, table
     s = scrolls.ScrollData(args.weights)
+    splitting = list(s.splitting)
     if args.h0:
         value = scrolls.scroll_h0(s)
-        _emit(out, {"splitting": list(s.splitting), "h0": value}, args.json, str(value))
-    elif args.canonical:
+        return {"splitting": splitting, "h0": value}, str(value)
+    if args.canonical:
         k = scrolls.scroll_canonical(s)
-        _emit(
-            out,
-            {"splitting": list(s.splitting), "canonical": [Fraction(v) for v in k.coords]},
-            args.json,
-            f"K = {k.coords[0]} M + {k.coords[1]} F",
-        )
-    else:
-        value = scrolls.scroll_intersection(s, args.intersect)
-        _emit(out, {"splitting": list(s.splitting), "value": Fraction(value)}, args.json, str(value))
-    return 0
+        canonical = [Fraction(v) for v in k.coords]
+        return {"splitting": splitting, "canonical": canonical}, f"K = {k.coords[0]} M + {k.coords[1]} F"
+    value = scrolls.scroll_intersection(s, args.intersect)
+    return {"splitting": splitting, "value": Fraction(value)}, str(value)
 
 
 # --- wps ------------------------------------------------------------------
 
-def _cmd_wps(args, out) -> int:
+def _cmd_wps(args) -> tuple[Any, str]:
     from fano3 import wps
 
     w = wps.WeightSystem(args.weights)
@@ -191,7 +175,8 @@ def _cmd_wps(args, out) -> int:
         f"pic index    {payload['pic_index']}",
     ]
     if args.degrees:
-        spec = wps.CompleteIntersectionSpec(normalized, args.degrees)
+        # the degrees belong to the given weights, not to the normalized ones
+        spec = wps.CompleteIntersectionSpec(w, args.degrees)
         inv = wps.ci_fano_invariants(spec)
         payload.update(
             degrees=list(spec.degrees),
@@ -209,8 +194,7 @@ def _cmd_wps(args, out) -> int:
         if inv.genus is not None:
             lines.append(f"genus        {inv.genus}")
         lines += [f"warning      {msg}" for msg in inv.warnings]
-    _emit(out, payload, args.json, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines)
 
 
 # --- link -----------------------------------------------------------------
@@ -253,7 +237,7 @@ def _candidate_row(c: sarkisov.LinkCandidate) -> str:
     )
 
 
-def _cmd_link(args, out) -> int:
+def _cmd_link(args) -> tuple[Any, str]:
     from fano3 import sarkisov
 
     genera = [args.genus] if args.genus is not None else args.genus_range
@@ -261,14 +245,12 @@ def _cmd_link(args, out) -> int:
     if not args.show_excluded:
         cands = [c for c in cands if c.confirmed]
     payload = [candidate_payload(c) for c in cands]
-    table = "\n".join(_candidate_row(c) for c in cands) or "(no candidates)"
-    _emit(out, payload, args.json, table)
-    return 0
+    return payload, "\n".join(_candidate_row(c) for c in cands) or "(no candidates)"
 
 
 # --- rho2 -----------------------------------------------------------------
 
-def _cmd_rho2(args, out) -> int:
+def _cmd_rho2(args) -> tuple[Any, str]:
     from fano3 import sarkisov
 
     sols = sarkisov.rho2_primitive_enumerate()
@@ -291,13 +273,12 @@ def _cmd_rho2(args, out) -> int:
         f"(a,b)=({s.a},{s.b})"
         for s in sols
     )
-    _emit(out, payload, args.json, table)
-    return 0
+    return payload, table
 
 
 # --- catalog --------------------------------------------------------------
 
-def _cmd_catalog(args, out) -> int:
+def _cmd_catalog(args) -> tuple[Any, str] | tuple[Any, str, int]:
     from fano3 import catalog
 
     cat = catalog.load()
@@ -309,14 +290,11 @@ def _cmd_catalog(args, out) -> int:
             f"h12={e.h12:<2d} chi={e.chi_top:<5d} {e.description}"
             for e in entries
         )
-        _emit(out, payload, args.json, table or "(no entries)")
-        return 0
+        return payload, table or "(no entries)"
     if args.action == "facts":
         facts = cat.facts_for(args.subject)
         payload = [f._asdict() for f in facts]
-        table = "\n".join(f"{f.predicate:12s} {f.value}" for f in facts) or "(no facts)"
-        _emit(out, payload, args.json, table)
-        return 0
+        return payload, "\n".join(f"{f.predicate:12s} {f.value}" for f in facts) or "(no facts)"
     # verify
     if args.id is not None:
         results = catalog.verify(cat.by_id(args.id))
@@ -329,8 +307,7 @@ def _cmd_catalog(args, out) -> int:
     }
     lines = [f"{len(results)} checks, {len(failures)} failures"]
     lines += [f"FAIL {r.entry_id} {r.check}: {r.lhs} != {r.rhs}" for r in failures]
-    _emit(out, payload, args.json, "\n".join(lines))
-    return 3 if failures else 0
+    return payload, "\n".join(lines), 3 if failures else 0
 
 
 # --- driver ---------------------------------------------------------------
@@ -440,8 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# Each handler imports its own layers, so that a process pays only for the
-# modules its subcommand uses: `fano3 rr` loads riemannroch and nothing else.
+# Each handler computes and returns its payload and table (`catalog` adds an
+# exit code); main alone renders one of them and writes it.  Each handler
+# imports its own layers, so that a process pays only for the modules its
+# subcommand uses: `fano3 rr` loads riemannroch and nothing else.
 COMMANDS = {
     "rr": _cmd_rr,
     "blowup": _cmd_blowup,
@@ -454,16 +433,19 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    out = out or sys.stdout
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return COMMANDS[args.command](args, out)
+        payload, table, *code = COMMANDS[args.command](args)
+        # rendered before anything is written: Python prints no int over 4300 digits
+        text = dumps(payload) if args.json else table + "\n"
     except ValueError as exc:
         print(f"fano3 {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    (out or sys.stdout).write(text)
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

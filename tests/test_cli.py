@@ -139,7 +139,7 @@ def test_catalog_verify_failure_exits_three(monkeypatch):
 def test_reproduce_script_runs_every_command():
     script = ROOT / "scripts" / "reproduce_classification.py"
     commands = runpy.run_path(str(script))["COMMANDS"]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # the script finds src/ itself
     done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     headers = [line for line in done.stdout.splitlines() if line.startswith("== fano3")]
@@ -181,22 +181,20 @@ def test_scroll_case_list_output(argv, expected):
     assert run(argv) == (0, expected)
 
 
-def test_catalog_list_payload_cannot_change_the_catalog(monkeypatch):
+def test_catalog_list_payload_cannot_change_the_catalog():
     # a payload row holds the cached catalog's own objects, so they must refuse
     # a write: tampering through one would change the catalog for the process
     from fano3 import catalog, cli
 
-    want = run(["catalog", "list", "--json"])
-    payloads = []
-    monkeypatch.setattr(cli, "_emit", lambda out, payload, as_json, table: payloads.append(payload))
-    assert main(["catalog", "list", "--json"]) == 0
-    nested = [row[key] for row in payloads[0] for key in ("construction", "hyperplane_section") if key in row]
+    argv = ["catalog", "list", "--json"]
+    want = run(argv)
+    payload, _ = cli.COMMANDS["catalog"](cli.build_parser().parse_args(argv))
+    nested = [row[key] for row in payload for key in ("construction", "hyperplane_section") if key in row]
     assert len(nested) == 32 + 10  # constructions and hyperplane sections
     for mapping in nested:
         with pytest.raises(TypeError):
             mapping["tampered"] = True
-    monkeypatch.undo()
-    assert run(["catalog", "list", "--json"]) == want
+    assert run(argv) == want
     assert not any("tampered" in (e.construction or {}) for e in catalog.load().entries)
 
 
@@ -322,6 +320,11 @@ def test_repeated_runs_are_byte_identical():
         (["scroll", "--weights", "1,1", "--intersect", "2M3F,M"], "expects classes like 3M-4F,M-F"),
         # the least genus of a range is checked before the range is listed
         (["link", "--center", "line", "--genus-range=-1000000000000..5"], "genus must be >= 2, got -1000000000000"),
+        # the JSON is rendered before anything is written, so no partial output
+        (["wps", "--weights", ",".join(["1"] * 2000), "--degrees", "2", "--json"],
+         "Exceeds the limit (4300 digits) for integer string conversion"),
+        # degrees on weights that are not well-formed do not carry over to the normalized ones
+        (["wps", "--weights", "2,2,2,2", "--degrees", "2"], "normalize the weight system first"),
     ],
 )
 def test_invalid_input_exits_two_with_message(argv, message, capsys):
