@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 usage error, 3 catalog verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -434,7 +435,8 @@ COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out or sys.stdout):  # argparse prints --help there
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

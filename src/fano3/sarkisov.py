@@ -229,14 +229,18 @@ def _ray_box(vals: tuple[int, ...], bound: int) -> list[tuple[int, int]]:
 def _b1_candidates(
     center: Center, g: int, vals: tuple[int, ...], h0: int, trials: dict[int, Iterable[int]]
 ) -> Iterable[LinkCandidate]:
-    """The curve blowdowns onto a Fano of index iota, from each a_m in trials[iota]."""
+    """The curve blowdowns onto a Fano of index iota, from each a_m in trials[iota],
+    each dropped by the first guard it fails, in the order a_f >= 1, effectivity
+    (m_cap >= 1), d(Y), deg Z >= 1, 2g(Z) - 2 and the defect.  Effectivity needs
+    a_f alone, as b_f = iota makes m_cap = _m_cap(h0, 1, iota, True) // a_f."""
     k3, ke, kee, e3 = vals
     for iota, a_ms in trials.items():
+        b_f = iota
+        top = _m_cap(h0, 1, b_f, birational=True)
         for a_m in a_ms:
             a_f = iota * a_m - 1
-            if a_f < 1:
+            if a_f < 1 or (top is not None and a_f > top):
                 continue
-            b_f = iota
             iota_d = k3 * a_m * a_m - 2 * a_m * ke + kee  # Mbar^2.(-K) = iota*d(Y)
             if iota_d <= 0 or iota_d % iota:
                 continue
@@ -252,9 +256,6 @@ def _b1_candidates(
             two_gz = a_f * a_f * k3 - 2 * a_f * b_f * ke + b_f * b_f * kee  # 2g(Z) - 2
             if two_gz % 2 or two_gz < -2:
                 continue
-            m_cap = _m_cap(h0, a_f, b_f, birational=True)
-            if m_cap == 0:
-                continue
             # Mbar^3 = d(Y)
             ebar = k3 * a_m**3 - 3 * a_m * a_m * ke + 3 * a_m * kee - d
             defect = e3 - ebar
@@ -268,6 +269,7 @@ def _b1_candidates(
                 deg_z=deg_z,
                 genus_z=two_gz // 2 + 1,
             )
+            m_cap = _m_cap(h0, a_f, b_f, birational=True)
             yield LinkCandidate(
                 center, g, "B1", (a_m, 1), (a_f, b_f), target, ebar, defect, m_cap=m_cap
             )
@@ -280,11 +282,10 @@ def _b1_trials(vals: tuple[int, ...], h0: int, iota: int) -> Iterable[int]:
         # Mbar^2.(-K) = iota*d is a quadratic in a_m for each admitted d
         return [a for d in B1_DEGREES[iota] for a in _integer_roots(k3, -2 * ke, kee - iota * d)]
     # iota = 1 admits every even d, so bound a_m through a_f = a_m - 1 >= 1
-    # and the checks on b_f = 1 instead.
-    if h0 >= 2:
-        return ()  # b_f > a_f >= 1 is impossible
-    if h0 >= 1:
-        return (2,)  # 1 <= a_f <= b_f = 1
+    # and effectivity on b_f = 1 instead: 1 <= a_f <= top, none once h0 >= 2.
+    top = _m_cap(h0, 1, 1, birational=True)
+    if top is not None:
+        return range(2, top + 2)
     # With d = Mbar^2.(-K) substituted, Ebar^3 - E^3 is the cubic below in
     # a_m with leading coefficient k3 > 0; it is positive (negative defect)
     # beyond the Cauchy bound 1 + max|c_i|/k3 on its real roots.

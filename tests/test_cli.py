@@ -1,6 +1,7 @@
 import ast
 import builtins
 import collections
+import contextlib
 import io
 import json
 import os
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fano3.cli import dumps, main
+from fano3.cli import COMMANDS, dumps, main
 from fano3.exactcore import Basis
 from fano3.scrolls import ScrollData
 
@@ -427,12 +428,28 @@ def _argv(draw):
 @example(argv=["rr", "--dim", "3", "--index", "1", "--genus", "12", "--t", "2", "--json"])
 @example(argv=["scroll", "--trigonal", "8", "--json"])
 @example(argv=["scroll", "--weights", "2,1,1", "--intersect", "M-F,2M+F,F", "--json"])
+@example(argv=["catalog", "verify", "--help"])
 def test_every_argv_exits_0_2_or_3(argv):
-    code, text = run(argv)
+    leaked = io.StringIO()
+    with contextlib.redirect_stdout(leaked):  # given out, main writes nothing to stdout
+        code, text = run(argv)
+    assert leaked.getvalue() == ""
     assert code in (0, 2, 3)
     assert code != 2 or text == ""
     if code != 2 and "--json" in argv:  # canonical JSON round-trips byte for byte
         assert json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n" == text
+
+
+@pytest.mark.parametrize(
+    "head",
+    [[], *([name] for name in COMMANDS), ["catalog", "list"], ["catalog", "facts"], ["catalog", "verify"]],
+    ids=lambda head: " ".join(head) or "fano3",
+)
+def test_help_goes_to_out(head, capsys):
+    code, text = run([*head, "--help"])
+    assert code == 0
+    assert text.startswith(f"usage: {' '.join(['fano3', *head])} ")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_dumps_rejects_unknown_objects():

@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import time
@@ -17,6 +18,7 @@ from fano3.sarkisov import (
     TargetInvariants,
     _b1_candidates,
     _integer_roots,
+    _m_cap,
     _point_blowdown_box,
     _ray_candidates,
     _ray_cube,
@@ -421,9 +423,79 @@ def test_ray_guard_drops_its_trial(center, g, vals, trial):
     assert list(_ray_candidates(center, g, vals, g - 5, [trial])) == []
 
 
-def test_b1_index_one_drops_odd_target_degree():
-    # a_m = 4: a_f = 3 and d(Y) = Mbar^2.(-K) = 16 - 5 = 11 is odd
-    assert list(_b1_candidates("line", 2, (1, 0, -5, -2), -3, {1: [4]})) == []
+# Synthetic (vals, h0, {iota: [a_m]}), one per guard of _b1_candidates in its
+# order, that the guard drops though every other guard passes: without the
+# guard the trial comes out as a candidate.  Here a_f = iota*a_m - 1 and
+# b_f = iota; an h0 below 1 shows no effectivity, so no m_cap is set.
+B1_GUARDS = {
+    # a_f = 0, which _m_cap would divide by once the cell shows effectivity
+    "a-f": ((2, -3, -2, 0), -3, {1: [1]}),
+    # h0 >= 2: b_f > m*a_f fails for m = 1 as a_f = b_f = 1
+    "effectivity": ((2, 0, -2, 0), 2, {1: [2]}),
+    # Mbar^2.(-K) = 8 - 4 - 1 = 3 is not 2*d(Y)
+    "iota-divides": ((2, 1, -1, 0), -3, {2: [2]}),
+    # a_f = 3 and d(Y) = Mbar^2.(-K) = 16 - 5 = 11 is odd on index 1
+    "index-one-degree": ((1, 0, -5, -2), -3, {1: [4]}),
+    # d(Y) = 3/3 = 1, but index 3 is the quadric, d = 2
+    "degree-table": ((1, -2, -2, 0), -3, {3: [1]}),
+    # deg Z = 4 - 3 - 2 = -1
+    "deg-z": ((2, 1, -2, 0), -3, {1: [2]}),
+    # 2g(Z) - 2 = 1 + 4 - 4 = 1 is odd
+    "genus-z": ((1, -1, -1, 0), -3, {2: [1]}),
+    # Ebar^3 = 54 - 18 - 16 = 20 > E^3 = 0
+    "defect": ((2, 0, -2, 0), -3, {1: [3]}),
+}
+
+
+@pytest.mark.parametrize("vals,h0,trials", B1_GUARDS.values(), ids=B1_GUARDS)
+def test_b1_guard_drops_its_trial(vals, h0, trials):
+    assert list(_b1_candidates("line", 2, vals, h0, trials)) == []
+
+
+def test_b1_effectivity_is_tested_before_any_arithmetic_on_the_cell():
+    # h0 >= 2 caps a_f at iota - 1, so every a_m other than 1 is dropped by the
+    # first two guards, which read no midpoint value: None would raise
+    trials = {iota: [*range(-3, 1), *range(2, 200)] for iota in (1, 2, 3, 4)}
+    assert list(_b1_candidates("line", 2, (None,) * 4, 2, trials)) == []
+
+
+@pytest.mark.parametrize("center", ["line", "conic", "point"])
+def test_box_consumes_every_b1_trial(center, monkeypatch):
+    # the box stays a brute force: each a_m in 1..N reaches the guards of every
+    # index, also in cells where effectivity drops all but a_m = 1
+    seen = collections.Counter()
+
+    def counting(iota, a_ms):
+        for a_m in a_ms:
+            seen[iota] += 1
+            yield a_m
+
+    b1 = sarkisov._b1_candidates
+    monkeypatch.setattr(
+        sarkisov,
+        "_b1_candidates",
+        lambda c, g, vals, h0, trials: b1(c, g, vals, h0, {i: counting(i, a) for i, a in trials.items()}),
+    )
+    for g in (7, 12, 30):
+        seen.clear()
+        sarkisov._enumerate_cell(center, g, 50)
+        assert seen == dict.fromkeys((1, 2, 3, 4), 50)
+
+
+def test_m_cap_matches_its_definition_by_search():
+    # None without effectivity; else the largest m >= 0 with b >= m*a, strictly
+    # for a birational contraction once h0 >= 2.  The B1 scan rests on the
+    # identity m_cap(a) = m_cap(1) // a.
+    for h0 in range(-3, 5):
+        for a in range(1, 13):
+            for b in range(1, 13):
+                for birational in (False, True):
+                    strict = birational and h0 >= 2
+                    fits = [m for m in range(b + 1) if (b > m * a if strict else b >= m * a)]
+                    expected = None if h0 < 1 else max(fits)
+                    assert _m_cap(h0, a, b, birational) == expected
+                    top = _m_cap(h0, 1, b, birational)
+                    assert expected == (None if top is None else top // a)
 
 
 def test_integer_roots_need_a_square_discriminant():
