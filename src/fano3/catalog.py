@@ -44,7 +44,6 @@ class FactRecord(NamedTuple):
 class Catalog(NamedTuple):
     entries: tuple[CatalogEntry, ...]
     facts: tuple[FactRecord, ...]
-    geometric_exclusions: tuple[MappingProxyType, ...]
     mukai_models: tuple[MappingProxyType, ...]
     scroll_models: MappingProxyType
     counts: MappingProxyType
@@ -98,7 +97,6 @@ def load() -> Catalog:
     return Catalog(
         entries=tuple(CatalogEntry(**e) for e in raw["entries"]),
         facts=tuple(FactRecord(f["subject"], f["predicate"], f["value"]) for f in raw["facts"]),
-        geometric_exclusions=raw["geometric_exclusions"],
         mukai_models=raw["mukai_models"],
         scroll_models=raw["scroll_models"],
         counts=raw["counts"],
@@ -191,7 +189,6 @@ class LinkFactStore(NamedTuple):
     chi: dict[tuple[int, int], int]
     rational: frozenset[tuple[int, int]]
     irrational: frozenset[tuple[int, int]]
-    geometric_rules: dict[tuple[str, tuple[int, int]], str]  # (center, fbar) -> rule
 
 
 def link_facts() -> LinkFactStore:
@@ -202,8 +199,7 @@ def link_facts() -> LinkFactStore:
     holds = {(f.predicate, key[f.subject]) for f in cat.facts if f.value and f.subject in key}
     rational = frozenset(k for predicate, k in holds if predicate == "Rational")
     irrational = frozenset(k for predicate, k in holds if predicate == "Irrational")
-    rules = {(r["center"], r["fbar"]): r["rule"] for r in cat.geometric_exclusions}
-    return LinkFactStore(chi, rational, irrational, rules)
+    return LinkFactStore(chi, rational, irrational)
 
 
 def realized_scrolls(kind: str, genus: int) -> dict[tuple[int, ...], str]:

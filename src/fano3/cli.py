@@ -142,7 +142,7 @@ def _cmd_scroll(args) -> tuple[Any, str]:
             + (f" (witness {r['witness']} at k={r['witness_k']})" if r.get("witness") is not None else "")
             for r in rows
         )
-        return rows, table
+        return rows, table or "(no splittings)"
     s = scrolls.ScrollData(args.weights)
     splitting = list(s.splitting)
     if args.h0:

@@ -118,6 +118,8 @@ def midpoint_form(center: Center, g: int) -> TrilinearForm:
     genus g.  The first three values are flop-invariant; the E^3 slot holds
     the blowup-side value (Ebar^3 is fixed per candidate).  Higher-index
     sources go through fano3.blowup with explicit (antik_cube, center)."""
+    if center not in CENTER_DATA:
+        raise ValueError(f"center must be one of line, conic, point, got {center!r}")
     data = CENTER_DATA[center]
     c = 2 * g - 2
     return blowup_point(c) if isinstance(data, PointCenter) else blowup_curve(c, data)
@@ -351,6 +353,8 @@ def enumerate_links(
     a range is clipped to GENUS_CAP, above which none exist.  With
     search_bound=N >= 1 they are every coefficient in 1..N instead, at every
     genus given: the brute-force oracle the tests compare the solve against."""
+    if center not in CENTER_DATA:
+        raise ValueError(f"center must be one of line, conic, point, got {center!r}")
     if search_bound < 0:
         raise ValueError(f"search_bound must be >= 0, got {search_bound}")
     if isinstance(g_range, range):  # ascending, a range is sorted without repeats: never listed
@@ -358,7 +362,10 @@ def enumerate_links(
         if not search_bound:  # no genus above the cap has a candidate
             genera = range(genera.start, min(genera.stop, GENUS_CAP + 1), genera.step)
     else:
-        genera = sorted(set(int(g) for g in g_range))
+        given = set(g_range)
+        genera = sorted({int(g) for g in given})
+        if given != set(genera):  # int() alone would run 7.5 as 7
+            raise ValueError(f"genus must be an integer, got {min(given - set(genera), key=repr)!r}")
     if genera and genera[0] < 2:
         raise ValueError(f"genus must be >= 2, got {genera[0]}")
     candidates = [cand for g in genera for cand in _enumerate_cell(center, g, search_bound)]
@@ -381,9 +388,9 @@ def euler_propagate(
 
 def filter_links(candidates: Sequence[LinkCandidate]) -> list[LinkCandidate]:
     """Assign confirmed / excluded:<rule> to every candidate from the catalog's
-    link facts; nothing is dropped.  Rules fire in the order genus-bound,
-    rationality, geometric, euler; rationality needs the source known
-    rational and the target known irrational."""
+    link facts and one geometric rule; nothing is dropped.  Rules fire in the
+    order genus-bound, rationality, geometric, euler; rationality needs the
+    source known rational and the target known irrational."""
     if not candidates:
         return []
     from fano3 import catalog
@@ -401,24 +408,18 @@ def _status(cand: LinkCandidate, facts: catalog.LinkFactStore) -> str:
     target = cand.target.fano()
     if source in facts.rational and target in facts.irrational:
         return "excluded:rationality"
-    # The one geometric rule calls |Fbar| empty for the point's Fbar =
-    # 2 sigma*(-K) - 5E, whose chi is 5g - 35, <= 0 only for g <= 7; "empty"
-    # further needs h^0 = chi, a vanishing taken as a hypothesis, not derived.
-    rule = facts.geometric_rules.get((cand.center, cand.fbar))
-    if rule is not None and cand.ctype.startswith("B"):  # a birational second ray
-        return f"excluded:geometric:{rule}"
-    if cand.ctype in ("B1", "B2"):
-        chi_x = facts.chi[source]
-        chi_y = facts.chi.get(target)
-        if chi_y is not None:
-            if cand.ctype == "B1":
-                # B1 admits only deg_z >= 1 and always sets genus_z
-                z: CurveCenter | PointCenter = CurveCenter(cand.target.deg_z, cand.target.genus_z)
-            else:
-                z = PointCenter()
-            c_x = CENTER_DATA[cand.center]
-            if euler_propagate(chi_y, z, c_x) != chi_x:
-                return "excluded:euler"
+    # An assumed geometric input, not derived: |Fbar| = |2 sigma*(-K) - 5E| at a
+    # point is empty (the rule fires at g = 7).  chi(Fbar) = 5g - 35 <= 0 there
+    # only checks consistency: most confirmed links have chi(Fbar) <= 0 too.
+    if cand.center == "point" and cand.fbar == (2, 1) and cand.ctype.startswith("B"):
+        return "excluded:geometric:double-anticanonical-minus-center-empty"
+    chi_y = facts.chi.get(target)
+    if cand.ctype in ("B1", "B2") and chi_y is not None:
+        # B1 admits only deg_z >= 1 and always sets genus_z; B2 blows down a point
+        t = cand.target
+        z = CurveCenter(t.deg_z, t.genus_z) if cand.ctype == "B1" else PointCenter()
+        if euler_propagate(chi_y, z, CENTER_DATA[cand.center]) != facts.chi[source]:
+            return "excluded:euler"
     return "confirmed"
 
 

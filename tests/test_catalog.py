@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from importlib import resources
 from types import MappingProxyType
 
 import pytest
@@ -261,9 +263,12 @@ def test_link_facts_shape():
     assert facts.chi[(4, 64)] == 4  # P^3
     assert facts.irrational == {(2, 24)}  # V3
     assert (1, 12) in facts.rational  # g = 7
-    assert facts.geometric_rules == {("point", (2, 1)): "double-anticanonical-minus-center-empty"}
-    # one rule per (center, fbar): a repeated key would silently replace a rule
-    assert len(facts.geometric_rules) == len(catalog.load().geometric_exclusions)
+
+
+def test_every_table_of_the_data_file_is_a_catalog_field():
+    # no table ships that load() ignores, and every field has its table
+    text = resources.files("fano3.data").joinpath("classification.json").read_text()
+    assert set(json.loads(text)) == {*catalog.Catalog._fields, "schema_version"}
 
 
 def test_everything_load_reaches_is_read_only(cat):

@@ -175,8 +175,12 @@ _NO_WITNESS = '"witness":null,"witness_k":null}'
          f'{{"entry":null,"splitting":[3,3,1,1],"status":"numeric-only",{_NO_WITNESS},'
          f'{{"entry":null,"splitting":[3,2,2,1],"status":"numeric-only",{_NO_WITNESS},'
          f'{{"entry":"dp3-times-p1","splitting":[2,2,2,2],"status":"realized",{_NO_WITNESS}]\n'),
+        (["scroll", "--hyperelliptic", "3"], "(no splittings)\n"),
+        (["scroll", "--trigonal", "5"], "(no splittings)\n"),
+        (["scroll", "--trigonal", "5", "--json"], "[]\n"),
     ],
-    ids=["trigonal-8", "hyperelliptic-7-json", "trigonal-10-json"],
+    ids=["trigonal-8", "hyperelliptic-7-json", "trigonal-10-json", "hyperelliptic-3", "trigonal-5",
+         "trigonal-5-json"],
 )
 def test_scroll_case_list_output(argv, expected):
     assert run(argv) == (0, expected)

@@ -213,8 +213,8 @@ def _chi_double_anticanonical_minus_five_e(g):
 
 
 def test_geometric_rule_fires_only_where_its_divisor_has_no_positive_chi():
-    # Fbar = 2(-K_tilde) - E = 2 sigma^*(-K) - 5E at a point.  Emptiness of
-    # |Fbar| also needs h^0 = chi, a vanishing the rule assumes.
+    # Fbar = 2(-K_tilde) - E = 2 sigma^*(-K) - 5E at a point.  The rule assumes
+    # |Fbar| empty; chi <= 0 there is only consistent with it (see below).
     assert [_chi_double_anticanonical_minus_five_e(g) for g in range(2, 13)] == [
         5 * g - 35 for g in range(2, 13)
     ]
@@ -229,6 +229,38 @@ def test_geometric_rule_fires_only_where_its_divisor_has_no_positive_chi():
     for c in fired:
         assert c.fbar == (2, 1)
         assert _chi_double_anticanonical_minus_five_e(c.g) <= 0
+
+
+def _chi_of_fbar(c):
+    """chi(Fbar) on the blowup: Fbar = a(-K_tilde) - bE = a sigma^*(-K) - kE,
+    with k = a + b on a curve and 2a + b at a point."""
+    a, b = c.fbar
+    k = 2 * a + b if c.center == "point" else a + b
+    chi_v = hilbert_polynomial(FanoNumerics.from_genus(3, c.g))(a)
+    return chi_v - vanishing_conditions(sarkisov.CENTER_DATA[c.center], a, k)
+
+
+def test_chi_of_fbar_does_not_decide_emptiness():
+    # A birational link's Fbar is the exceptional divisor of its second ray, so
+    # it is effective, yet chi(Fbar) <= 0 for most confirmed links: h^0 = chi
+    # fails for them, and "chi <= 0" as a rule would exclude them.
+    birational = [
+        c
+        for center in ("line", "conic", "point")
+        for c in enumerate_links(center, range(2, GENUS_CAP + 1))
+        if c.ctype.startswith("B")
+    ]
+    k = {(c.center, c.g, c.ctype, c.fbar): c for c in birational}
+    v5 = k["line", 12, "B1", (1, 2)]  # the double projection onto V5
+    assert (v5.target.iota_y, v5.target.degree_y, v5.status) == (2, 5, "confirmed")
+    assert _chi_of_fbar(v5) == -2
+    assert k["conic", 6, "B1", (2, 1)].confirmed
+    assert _chi_of_fbar(k["conic", 6, "B1", (2, 1)]) == 0
+    # the same chi as the point's (2, 1), which the geometric rule excludes
+    assert not k["point", 7, "B1", (2, 1)].confirmed
+    assert _chi_of_fbar(k["point", 7, "B1", (2, 1)]) == 0
+    confirmed = [c for c in birational if c.confirmed]
+    assert (len(confirmed), sum(_chi_of_fbar(c) <= 0 for c in confirmed)) == (15, 12)
 
 
 def test_point_empty_beyond_thirteen():
@@ -361,6 +393,19 @@ def test_enumerate_links_rejects_bad_arguments():
             enumerate_links("line", [g, 7])
     with pytest.raises(ValueError, match="search_bound must be >= 0, got -1"):
         enumerate_links("line", [7], search_bound=-1)
+    # an unknown center is named, also where no cell would be computed
+    for call in (
+        lambda: enumerate_links("foo", [7]),
+        lambda: enumerate_links("foo", range(30, 41)),
+        lambda: midpoint_form("foo", 7),
+    ):
+        with pytest.raises(ValueError, match="center must be one of line, conic, point, got 'foo'"):
+            call()
+    # int() alone would truncate 7.5 to 7 and parse "7"
+    for g, shown in ((7.5, "7.5"), ("7", "'7'")):
+        with pytest.raises(ValueError, match=f"genus must be an integer, got {shown}"):
+            enumerate_links("line", [g, 8])
+    assert enumerate_links("line", [7.0, 8]) == enumerate_links("line", [7, 8])
 
 
 def test_solved_trials_cover_every_box_point():
