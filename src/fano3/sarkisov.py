@@ -14,6 +14,7 @@ _ray_trials, and B1 trials come from a quadratic per admitted target degree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence
@@ -130,7 +131,9 @@ def _m_cap(h0: int, a: int, b: int, birational: bool) -> Optional[int]:
     non-empty, strictly (b > m*a) for birational contractions once that
     system moves; None where h0, the cell's lower bound on h^0(-K_tilde - E),
     does not show it non-empty.  A cap of 0 fails effectivity (m = 1), so
-    the caller rejects the trial."""
+    the caller rejects the trial.  The box scans test that before any other
+    guard and rest on this rule: _b1_candidates as a_f > _m_cap(h0, 1, iota, True),
+    _ray_candidates as a > b, as every a > b >= 1 has cap 0 once h0 >= 1."""
     if h0 < 1:
         return None
     return (b - 1) // a if (birational and h0 >= 2) else b // a
@@ -146,9 +149,18 @@ def _ray_candidates(
     center: Center, g: int, vals: tuple[int, ...], h0: int, trials: Iterable[tuple[int, int]]
 ) -> Iterable[LinkCandidate]:
     """The fiber, conic-bundle and point-blowdown links: Fbar = a(-K) - bE
-    spans the second ray, whose type RAY_TYPE reads from Fbar."""
+    spans the second ray, whose type RAY_TYPE reads from Fbar.  Each trial is
+    dropped by the first guard it fails, in the order a >= 1, effectivity
+    (m_cap >= 1), the type (q2, lin), then for a point blowdown iota in 1..4
+    and an integral a_m and (-K_Y)^3 > 0, else the length b = mu, then
+    m_cap >= 1 again, an integral Ebar^3 and the defect.  Effectivity needs
+    a and b alone: once h0 >= 1, _m_cap is 0 for every a > b >= 1.  The test
+    a >= 1 guards other callers: _ray_trials and _ray_box yield a >= 1."""
     k3, ke, kee, e3 = vals
+    effective = h0 >= 1  # the cell shows |-K_tilde - E| non-empty
     for a, b in trials:
+        if a < 1 or (effective and a > b):
+            continue
         q2 = k3 * a * a - 2 * a * b * ke + b * b * kee  # Fbar^2.(-K)
         if q2 not in RAY_TYPE:
             continue
@@ -186,7 +198,7 @@ def _ray_candidates(
             else:
                 target = TargetInvariants("conic-bundle", discriminant_degree=12 - lin)
         m_cap = _m_cap(h0, a, b, birational=q2 < 0)
-        if m_cap == 0:
+        if m_cap == 0:  # a == b, birational once h0 >= 2
             continue
         ebar, rem = divmod(k3 * a**3 - 3 * a * a * b * ke + 3 * a * b * b * kee - cube, b**3)
         if rem:
@@ -221,11 +233,13 @@ def _ray_trials(vals: tuple[int, ...]) -> list[tuple[int, int]]:
     return trials
 
 
-def _ray_box(vals: tuple[int, ...], bound: int) -> list[tuple[int, int]]:
-    """The brute-force oracle for _ray_trials: every a in 1..bound with
-    b = 1..3, and the points of _point_blowdown_box with b > 3."""
-    box = [(a, b) for b in (1, 2, 3) for a in range(1, bound + 1)]
-    return box + [(a, b) for a, b in _point_blowdown_box(vals, bound) if b > 3]
+def _ray_box(vals: tuple[int, ...], bound: int) -> Iterable[tuple[int, int]]:
+    """The brute-force oracle for _ray_trials, yielded lazily: every a in
+    1..bound with b = 1..3, and the points of _point_blowdown_box with b > 3."""
+    return itertools.chain(
+        itertools.product(range(1, bound + 1), (1, 2, 3)),
+        ((a, b) for a, b in _point_blowdown_box(vals, bound) if b > 3),
+    )
 
 
 def _b1_candidates(
@@ -312,11 +326,23 @@ def _integer_roots(aa: int, bb: int, cc: int) -> list[int]:
 
 
 def _point_blowdown_box(vals: tuple[int, ...], bound: int) -> Iterable[tuple[int, int]]:
+    """Every (a_f, b_f) in 1..bound on Fbar^2.(-K) = -2, b_f ascending per a_f:
+    kee*b^2 - 2a*ke*b + k3*a^2 + 2 = 0 solved for b inline, not through
+    _integer_roots, as this runs once per a_f of every box cell.  The reduced
+    discriminant is a^2*den - 2*kee (den as in _ray_trials), and kee < 0
+    (see _ray_trials) makes b = (a*ke + root)/kee the smaller root."""
     k3, ke, kee, _ = vals
+    den = ke * ke - k3 * kee
     for a_f in range(1, bound + 1):
-        # Fbar^2.(-K) = -2 solved for b_f
-        for b_f in _integer_roots(kee, -2 * a_f * ke, k3 * a_f * a_f + 2):
-            if b_f <= bound:
+        disc = a_f * a_f * den - 2 * kee
+        if disc < 0:
+            continue
+        root = math.isqrt(disc)
+        if root * root != disc:
+            continue
+        for num in (a_f * ke + root, a_f * ke - root)[: 2 if root else 1]:
+            b_f, rem = divmod(num, kee)
+            if rem == 0 and 0 < b_f <= bound:
                 yield a_f, b_f
 
 

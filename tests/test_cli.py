@@ -434,12 +434,14 @@ def _argv(draw):
 @example(argv=["scroll", "--weights", "2,1,1", "--intersect", "M-F,2M+F,F", "--json"])
 @example(argv=["catalog", "verify", "--help"])
 def test_every_argv_exits_0_2_or_3(argv):
-    leaked = io.StringIO()
-    with contextlib.redirect_stdout(leaked):  # given out, main writes nothing to stdout
+    leaked, err = io.StringIO(), io.StringIO()
+    # given out, main writes nothing to stdout; errors go to sys.stderr
+    with contextlib.redirect_stdout(leaked), contextlib.redirect_stderr(err):
         code, text = run(argv)
     assert leaked.getvalue() == ""
     assert code in (0, 2, 3)
     assert code != 2 or text == ""
+    assert (code == 2) == (err.getvalue() != "")  # an exit 2 always says why
     if code != 2 and "--json" in argv:  # canonical JSON round-trips byte for byte
         assert json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n" == text
 
@@ -453,6 +455,26 @@ def test_help_goes_to_out(head, capsys):
     code, text = run([*head, "--help"])
     assert code == 0
     assert text.startswith(f"usage: {' '.join(['fano3', *head])} ")
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["rr", "--bogus"], "fano3 rr: error: the following arguments are required: --dim, --index\n"),
+        (["link", "--center", "line", "--genus", "1"], "fano3 link: error: genus must be >= 2, got 1\n"),
+    ],
+    ids=["usage", "handler"],
+)
+def test_errors_go_to_stderr(argv, message, capsys):
+    # usage and handler errors both reach the sys.stderr of the call, so a
+    # caller captures them with contextlib.redirect_stderr around main
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().err.endswith(message)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run(argv) == (2, "")
+    assert err.getvalue().endswith(message)
     assert capsys.readouterr() == ("", "")
 
 

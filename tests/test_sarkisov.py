@@ -438,12 +438,21 @@ def test_solved_trials_cover_every_box_point():
 
 
 # Synthetic (center, g, vals, trial) that each guard of _ray_candidates
-# rejects after every earlier check passed; without that guard the trial
-# comes out as a candidate.  vals = (k3, ke, kee, e3); q2 = (-K).Fbar^2 and
-# lin = (-K)^2.Fbar of Fbar = a(-K) - bE pick the type.  Each trial is on
-# the line, where the cell's bound is h^0(-K_tilde - E) >= g - 5; at g = 2 it
-# shows nothing, so no m_cap is set.
+# rejects after every earlier check passed, one per guard in its order: a,
+# effectivity, the type, iota-range, target-cube or length, m-cap,
+# ebar-integral, defect.  Without that guard the trial comes out as a
+# candidate, except where a row says which later guard drops it too.
+# vals = (k3, ke, kee, e3); q2 = (-K).Fbar^2 and lin = (-K)^2.Fbar of
+# Fbar = a(-K) - bE pick the type.  Each trial is on the line, where the
+# cell's bound is h^0(-K_tilde - E) >= g - 5; at g = 2 it shows nothing, so
+# no m_cap is set.
 RAY_GUARDS = {
+    # D1 (q2 = 0, lin = 1) at a = 0: Fbar = -E is no ray of the box
+    "a": ("line", 2, (1, -1, 0, 0), (0, 1)),
+    # D1 at a = 2 > b = 1 with h0 = 2: b >= m*a fails for m = 1.  The m-cap
+    # guard drops every such trial too, as _m_cap is 0 for a > b >= 1; this
+    # guard reads no midpoint value, so the box pays one comparison for them.
+    "effectivity": ("line", 7, (1, 1, 0, 0), (2, 1)),
     # B5 (q2 = -2, lin = 1) with b = 1: iota = b*lin/(2*mu) = 1/2 floors to
     # 0, which the next line would divide by.
     # No integral trial with iota > 4 passes the later checks, so this guard
@@ -527,10 +536,80 @@ def test_box_consumes_every_b1_trial(center, monkeypatch):
         assert seen == dict.fromkeys((1, 2, 3, 4), 50)
 
 
+def test_ray_effectivity_is_tested_before_any_arithmetic_on_the_cell():
+    # a <= 0 is dropped at any h0, and once h0 >= 1 every a > b, by the first
+    # two guards, which read no midpoint value: None would raise
+    nonpositive = [(a, b) for a in range(-3, 1) for b in range(-2, 6)]
+    assert list(_ray_candidates("line", 2, (None,) * 4, -3, nonpositive)) == []
+    above = [(a, b) for b in range(1, 6) for a in range(b + 1, 200)]
+    for h0 in (1, 2, 9):
+        assert list(_ray_candidates("line", 2, (None,) * 4, h0, nonpositive + above)) == []
+
+
+@pytest.mark.parametrize("center", ["line", "conic", "point"])
+def test_box_consumes_every_ray_trial(center, monkeypatch):
+    # the box stays a brute force: each of the 3*N points with b = 1..3 and each
+    # point-blowdown point with b > 3 reaches the guards, also in cells where
+    # effectivity drops every a > b
+    seen = []
+
+    def counting(trials):
+        for trial in trials:
+            seen.append(trial)
+            yield trial
+
+    rays = sarkisov._ray_candidates
+    monkeypatch.setattr(
+        sarkisov,
+        "_ray_candidates",
+        lambda c, g, vals, h0, trials: rays(c, g, vals, h0, counting(trials)),
+    )
+    deep_points = 0
+    for g in (7, 12, 30):
+        seen.clear()
+        sarkisov._enumerate_cell(center, g, 50)
+        k3, ke, kee, _ = midpoint_form(center, g).values
+        deep = [
+            (a, b)
+            for a in range(1, 51)
+            for b in range(4, 51)
+            if k3 * a * a - 2 * a * b * ke + b * b * kee == -2  # Fbar^2.(-K)
+        ]
+        assert sorted(seen) == sorted([(a, b) for a in range(1, 51) for b in (1, 2, 3)] + deep)
+        deep_points += len(deep)
+    assert deep_points == {"line": 3, "conic": 3, "point": 2}[center]
+
+
+def test_point_blowdown_box_matches_the_quadratic_formula():
+    # the inline solve of Fbar^2.(-K) = -2 for b_f yields the pairs, in order,
+    # that _integer_roots gives, on the synthetic grid of
+    # test_solved_trials_cover_every_box_point and on rows with k3 <= 0
+    box = 60
+    pairs = two_roots = double_roots = 0
+    for k3 in range(-10, 41):
+        for ke in (*range(-6, 0), *range(1, 7)):
+            for kee in range(-6, 0):
+                vals = (k3, ke, kee, 0)
+                expected = [
+                    (a_f, b_f)
+                    for a_f in range(1, box + 1)
+                    for b_f in _integer_roots(kee, -2 * a_f * ke, k3 * a_f * a_f + 2)
+                    if b_f <= box
+                ]
+                assert list(_point_blowdown_box(vals, box)) == expected, vals
+                a_fs = [a_f for a_f, _ in expected]
+                pairs += len(a_fs)
+                two_roots += len(a_fs) - len(set(a_fs))
+                # a zero discriminant a_f^2*(ke^2 - k3*kee) - 2*kee needs k3 < 0
+                double_roots += sum(a_f * a_f * (ke * ke - k3 * kee) == 2 * kee for a_f in a_fs)
+    assert (pairs, two_roots, double_roots) == (965, 135, 11)
+
+
 def test_m_cap_matches_its_definition_by_search():
     # None without effectivity; else the largest m >= 0 with b >= m*a, strictly
     # for a birational contraction once h0 >= 2.  The B1 scan rests on the
-    # identity m_cap(a) = m_cap(1) // a.
+    # identity m_cap(a) = m_cap(1) // a, the ray scan on a cap of 0 for every
+    # a > b once h0 >= 1.
     for h0 in range(-3, 5):
         for a in range(1, 13):
             for b in range(1, 13):
@@ -541,6 +620,7 @@ def test_m_cap_matches_its_definition_by_search():
                     assert _m_cap(h0, a, b, birational) == expected
                     top = _m_cap(h0, 1, b, birational)
                     assert expected == (None if top is None else top // a)
+                    assert expected == 0 or not (h0 >= 1 and a > b)
 
 
 def test_integer_roots_need_a_square_discriminant():
