@@ -51,7 +51,7 @@ POINT_SINGULARITY = {
     "B5": "quotient point C^3/{+-1}, non-Gorenstein of multiplicity 4",
 }
 
-# No solved trial exists above this genus, so enumerate_links clips a range
+# No solved trial exists above this genus, so enumerate_links clips the genera
 # here.  The midpoint (k3, ke, kee) is (2g - 6, 3, -2), (2g - 8, 4, -2) and
 # (2g - 10, 4, -2) on the line, conic and point, with k3 > 0 where solved.
 # - D and C (q2 = 0, 2 and lin <= 9, 12): the identity in _ray_trials with
@@ -60,7 +60,7 @@ POINT_SINGULARITY = {
 #   lin = ke, and a = 2*ke/k3 then gives k3 <= 2*ke.
 # - B1 onto iota >= 2: k3*a^2 = 2*ke*a + 2 + iota*d (_b1_trials) with a >= 1
 #   and iota*d <= 10 (B1_DEGREES) gives k3 <= 2*ke + 12.
-# - B1 onto iota = 1: _b1_trials gives none once the cell's bound h0 >= 2.
+# - B1 onto iota = 1: the effectivity guard of _b1_candidates drops all once h0 >= 2.
 # So k3 <= 36 on the line and 32 on the conic and the point: g <= 21, 20, 21.
 GENUS_CAP = 21
 
@@ -155,7 +155,7 @@ def _ray_candidates(
     and an integral a_m and (-K_Y)^3 > 0, else the length b = mu, then
     m_cap >= 1 again, an integral Ebar^3 and the defect.  Effectivity needs
     a and b alone: once h0 >= 1, _m_cap is 0 for every a > b >= 1.  The test
-    a >= 1 guards other callers: _ray_trials and _ray_box yield a >= 1."""
+    a >= 1 is the one place a is bounded below: _ray_trials may yield a <= 0."""
     k3, ke, kee, e3 = vals
     effective = h0 >= 1  # the cell shows |-K_tilde - E| non-empty
     for a, b in trials:
@@ -228,7 +228,7 @@ def _ray_trials(vals: tuple[int, ...]) -> list[tuple[int, int]]:
             if b * b * den != num:
                 continue
             a, rem = divmod(lin + ke * b, k3)
-            if rem == 0 and a > 0:
+            if rem == 0:
                 trials.append((a, b))
     return trials
 
@@ -291,20 +291,17 @@ def _b1_candidates(
             )
 
 
-def _b1_trials(vals: tuple[int, ...], h0: int, iota: int) -> Iterable[int]:
+def _b1_trials(vals: tuple[int, ...], iota: int) -> Iterable[int]:
     """Every a_m that can pass the B1 checks for a target of index iota."""
     k3, ke, kee, e3 = vals
     if iota > 1:
         # Mbar^2.(-K) = iota*d is a quadratic in a_m for each admitted d
         return [a for d in B1_DEGREES[iota] for a in _integer_roots(k3, -2 * ke, kee - iota * d)]
-    # iota = 1 admits every even d, so bound a_m through a_f = a_m - 1 >= 1
-    # and effectivity on b_f = 1 instead: 1 <= a_f <= top, none once h0 >= 2.
-    top = _m_cap(h0, 1, 1, birational=True)
-    if top is not None:
-        return range(2, top + 2)
-    # With d = Mbar^2.(-K) substituted, Ebar^3 - E^3 is the cubic below in
-    # a_m with leading coefficient k3 > 0; it is positive (negative defect)
-    # beyond the Cauchy bound 1 + max|c_i|/k3 on its real roots.
+    # iota = 1 admits every even d, so bound a_m by the defect instead, at
+    # every h0 (_b1_candidates applies effectivity): with d = Mbar^2.(-K)
+    # substituted, Ebar^3 - E^3 is the cubic below in a_m with leading
+    # coefficient k3 > 0; it is positive (negative defect) beyond the Cauchy
+    # bound 1 + max|c_i|/k3 on its real roots.
     coeffs = (-(3 * ke + k3), 3 * kee + 2 * ke, -(kee + e3))
     return range(1, 1 + max(abs(c) for c in coeffs) // k3 + 1)
 
@@ -358,7 +355,7 @@ def _enumerate_cell(center: Center, g: int, bound: int) -> list[LinkCandidate]:
     if bound:
         rays, b1 = _ray_box(vals, bound), dict.fromkeys((1, 2, 3, 4), range(1, bound + 1))
     else:
-        rays, b1 = _ray_trials(vals), {i: _b1_trials(vals, h0, i) for i in (1, 2, 3, 4)}
+        rays, b1 = _ray_trials(vals), {i: _b1_trials(vals, i) for i in (1, 2, 3, 4)}
     cands = [*_ray_candidates(center, g, vals, h0, rays), *_b1_candidates(center, g, vals, h0, b1)]
     cands.sort(key=lambda c: (c.g, c.ctype, c.fbar))
     return cands
@@ -376,7 +373,7 @@ def enumerate_links(
 
     With the default search_bound=0 the trial coefficients are the solutions
     of each contraction type's defining equations, so no box is scanned, and
-    a range is clipped to GENUS_CAP, above which none exist.  With
+    every genus set is clipped to GENUS_CAP, above which none exist.  With
     search_bound=N >= 1 they are every coefficient in 1..N instead, at every
     genus given: the brute-force oracle the tests compare the solve against."""
     if center not in CENTER_DATA:
@@ -385,8 +382,6 @@ def enumerate_links(
         raise ValueError(f"search_bound must be >= 0, got {search_bound}")
     if isinstance(g_range, range):  # ascending, a range is sorted without repeats: never listed
         genera = g_range if g_range.step > 0 else g_range[::-1]
-        if not search_bound:  # no genus above the cap has a candidate
-            genera = range(genera.start, min(genera.stop, GENUS_CAP + 1), genera.step)
     else:
         given = set(g_range)
         genera = sorted({int(g) for g in given})
@@ -394,6 +389,8 @@ def enumerate_links(
             raise ValueError(f"genus must be an integer, got {min(given - set(genera), key=repr)!r}")
     if genera and genera[0] < 2:
         raise ValueError(f"genus must be >= 2, got {genera[0]}")
+    if not search_bound:  # no genus above the cap has a candidate
+        genera = itertools.takewhile(GENUS_CAP.__ge__, genera)  # sorted, so this stops at the cap
     candidates = [cand for g in genera for cand in _enumerate_cell(center, g, search_bound)]
     return filter_links(candidates)
 

@@ -17,6 +17,7 @@ from fano3.sarkisov import (
     RAY_TYPE,
     TargetInvariants,
     _b1_candidates,
+    _b1_trials,
     _integer_roots,
     _m_cap,
     _point_blowdown_box,
@@ -322,10 +323,12 @@ def test_round_trip_through_eval_form():
 
 
 def test_search_bound_sufficiency():
-    # the closed-form solve against the brute-force box
+    # the closed-form solve against the brute-force box, from g = 2 so that
+    # the line's g = 4 cell is compared too: its index-1 B1 trials come from
+    # the Cauchy bound of _b1_trials, as h0 < 1 there
     for center in ("line", "conic", "point"):
-        solved = enumerate_links(center, range(5, 41))
-        assert solved == enumerate_links(center, range(5, 41), search_bound=1000)
+        solved = enumerate_links(center, range(2, 41))
+        assert solved == enumerate_links(center, range(2, 41), search_bound=1000)
 
 
 @pytest.mark.parametrize("center", ["line", "conic", "point"])
@@ -348,6 +351,8 @@ def test_default_path_clips_a_range_at_the_genus_cap(center, monkeypatch):
     wide = enumerate_links(center, range(5, 10**12))
     assert time.perf_counter() - start < 1.0
     assert wide == enumerate_links(center, range(5, GENUS_CAP + 1))
+    # a range too long for len() is clipped all the same
+    assert enumerate_links(center, range(5, 10**30)) == wide
 
 
 def test_a_range_below_genus_two_is_rejected_before_it_is_listed():
@@ -377,9 +382,22 @@ def test_default_path_clips_a_descending_range_at_the_genus_cap(center, monkeypa
 
 
 @pytest.mark.parametrize("center", ["line", "conic", "point"])
+def test_default_path_clips_a_list_at_the_genus_cap(center, monkeypatch):
+    # the clip does not depend on the container: a list is cut where a range is
+    visited = []
+    cell = sarkisov._enumerate_cell
+    monkeypatch.setattr(sarkisov, "_enumerate_cell", lambda c, g, b: visited.append(g) or cell(c, g, b))
+    enumerate_links(center, [5, 10**12])
+    assert visited == [5]
+    monkeypatch.undo()
+    assert enumerate_links(center, [*range(2, 61)]) == enumerate_links(center, range(2, 61))
+
+
+@pytest.mark.parametrize("center", ["line", "conic", "point"])
 def test_solve_finds_nothing_above_the_genus_cap(center):
-    # a list is not clipped, so each of these genera is solved
-    assert enumerate_links(center, [*range(GENUS_CAP + 1, GENUS_CAP + 201), 10**6, 10**12]) == []
+    # enumerate_links clips these genera, so the cap is checked on the cells
+    for g in (*range(GENUS_CAP + 1, GENUS_CAP + 201), 10**6, 10**12):
+        assert sarkisov._enumerate_cell(center, g, 0) == [], g
 
 
 def test_filter_links_of_nothing_reads_no_facts(monkeypatch):
@@ -435,6 +453,28 @@ def test_solved_trials_cover_every_box_point():
                         k_hits[k] += 1
     assert fiber_hits == {("D", 1): 39, ("D", 2): 21, ("D", 3): 10, ("C", 1): 57, ("C", 2): 15}
     assert k_hits == {4: 14, 2: 7, 1: 3}
+
+
+def test_b1_trials_give_every_box_candidate():
+    # trial-level oracle on synthetic midpoint values (k3, ke, kee, e3): at
+    # every h0, the B1 guards pass the same a_m from the solved trials as from
+    # the box, the Cauchy bound for index 1 included, which the enumeration
+    # oracle tests on one cell only
+    box = range(1, 61)
+    hits = collections.Counter()
+    for k3 in range(1, 9):
+        for ke in (*range(-6, 0), *range(1, 7)):
+            for kee in range(-6, 0):
+                for e3 in (-2, 1):
+                    vals = (k3, ke, kee, e3)
+                    for iota in (1, 2, 3, 4):
+                        solved = _b1_trials(vals, iota)
+                        for h0 in range(-3, 5):
+                            expected = list(_b1_candidates("line", 2, vals, h0, {iota: box}))
+                            got = sorted(_b1_candidates("line", 2, vals, h0, {iota: solved}))
+                            assert got == expected, (vals, iota, h0)
+                            hits[iota] += len(got)
+    assert hits == {1: 654, 2: 496, 3: 208, 4: 192}
 
 
 # Synthetic (center, g, vals, trial) that each guard of _ray_candidates
