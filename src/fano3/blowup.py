@@ -11,6 +11,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
+from fano3 import as_int
 from fano3.exactcore import Basis, Rat, TrilinearForm, form2
 
 
@@ -21,6 +22,7 @@ class CurveCenter(NamedTuple("CurveCenter", [("deg_antik", int), ("genus", int)]
 
     # _replace bypasses __new__: change a field through the constructor
     def __new__(cls, deg_antik: int, genus: int) -> CurveCenter:
+        deg_antik, genus = as_int(deg_antik, "deg_antik"), as_int(genus, "genus")
         if deg_antik < 1:
             raise ValueError("centers on Fano varieties have (-K).Z >= 1")
         if genus < 0:

@@ -158,6 +158,14 @@ def _cmd_scroll(args) -> tuple[Any, str]:
 
 # --- wps ------------------------------------------------------------------
 
+# the table's label of each payload field in line order; a None field has no line
+WPS_LABELS = (
+    ("weights", "weights"), ("well_formed", "well-formed"), ("normalized", "normalized"),
+    ("pic_index", "pic index"), ("dim", "dim"), ("index", "index"),
+    ("antik_power", "(-K)^dim"), ("genus", "genus"),
+)
+
+
 def _cmd_wps(args) -> tuple[Any, str]:
     from fano3 import wps
 
@@ -169,12 +177,6 @@ def _cmd_wps(args) -> tuple[Any, str]:
         "normalized": list(normalized.weights),
         "pic_index": wps.pic_index(normalized),
     }
-    lines = [
-        f"weights      {list(w.weights)}",
-        f"well-formed  {payload['well_formed']}",
-        f"normalized   {payload['normalized']}",
-        f"pic index    {payload['pic_index']}",
-    ]
     if args.degrees:
         # the degrees belong to the given weights, not to the normalized ones
         spec = wps.CompleteIntersectionSpec(w, args.degrees)
@@ -187,14 +189,8 @@ def _cmd_wps(args) -> tuple[Any, str]:
             genus=inv.genus,
             warnings=list(inv.warnings),
         )
-        lines += [
-            f"dim          {inv.dim}",
-            f"index        {inv.index}",
-            f"(-K)^dim     {inv.antik_power}",
-        ]
-        if inv.genus is not None:
-            lines.append(f"genus        {inv.genus}")
-        lines += [f"warning      {msg}" for msg in inv.warnings]
+    lines = [f"{label:12s} {payload[field]}" for field, label in WPS_LABELS if payload.get(field) is not None]
+    lines += [f"{'warning':12s} {msg}" for msg in payload.get("warnings", ())]
     return payload, "\n".join(lines)
 
 
@@ -218,23 +214,21 @@ def candidate_payload(c: sarkisov.LinkCandidate) -> dict:
     }
 
 
+# the table's description of a link's target, one template per TargetInvariants.kind
+TARGET_TEMPLATES = {
+    "del-pezzo-fibration": "del Pezzo fibration of degree {fiber_degree}",
+    "conic-bundle": "conic bundle, discriminant degree {discriminant_degree}",
+    "fano-curve-blowdown":
+        "blowup of curve (deg {deg_z}, genus {genus_z}) on target with iota={iota_y}, d={degree_y}",
+    "fano-point-blowdown": "point blowdown (k={k}) onto Fano with (-K)^3={antik_cube_y}",
+}
+
+
 def _candidate_row(c: sarkisov.LinkCandidate) -> str:
-    t = c.target
-    if t.kind == "del-pezzo-fibration":
-        desc = f"del Pezzo fibration of degree {t.fiber_degree}"
-    elif t.kind == "conic-bundle":
-        desc = f"conic bundle, discriminant degree {t.discriminant_degree}"
-    elif t.kind == "fano-curve-blowdown":
-        desc = (
-            f"blowup of curve (deg {t.deg_z}, genus {t.genus_z}) on target with"
-            f" iota={t.iota_y}, d={t.degree_y}"
-        )
-    else:
-        desc = f"point blowdown (k={t.k}) onto Fano with (-K)^3={t.antik_cube_y}"
     return (
         f"g={c.g:<3d} {c.ctype:<6s} F=({c.fbar[0]},{c.fbar[1]}) "
         f"Ebar^3={str(c.ebar_cube):>4s} def={str(c.defect):>3s} "
-        f"{c.status:<28s} {desc}"
+        f"{c.status:<28s} {TARGET_TEMPLATES[c.target.kind].format_map(c.target._asdict())}"
     )
 
 
@@ -295,7 +289,7 @@ def _cmd_catalog(args) -> tuple[Any, str] | tuple[Any, str, int]:
     if args.action == "facts":
         facts = cat.facts_for(args.subject)
         payload = [f._asdict() for f in facts]
-        return payload, "\n".join(f"{f.predicate:12s} {f.value}" for f in facts) or "(no facts)"
+        return payload, "\n".join(f"{f.predicate:12s} {f.value}" for f in facts)
     # verify
     if args.id is not None:
         results = catalog.verify(cat.by_id(args.id))

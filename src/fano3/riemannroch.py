@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Union
 
+from fano3 import as_int
+
 Rat = Union[int, Fraction]
 
 
@@ -24,10 +26,7 @@ class FanoNumerics(NamedTuple("FanoNumerics", [("dim", int), ("index", int), ("d
 
     # _replace bypasses __new__: change a field through the constructor
     def __new__(cls, dim: int, index: int, degree: Rat) -> FanoNumerics:
-        n, i, d = dim, index, Fraction(degree)
-        if d.denominator != 1:
-            raise ValueError(f"degree H^n must be an integer, got {d}")
-        d = d.numerator
+        n, i, d = as_int(dim, "dim"), as_int(index, "index"), as_int(degree, "degree H^n")
         if n < 1 or i < 1 or i > n + 1:
             raise ValueError(f"need 1 <= iota <= n+1, got iota={i}, n={n}")
         if d <= 0:

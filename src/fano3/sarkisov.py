@@ -19,6 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
+from fano3 import as_int
 from fano3.blowup import CurveCenter, PointCenter, blowup_curve, blowup_point, vanishing_conditions
 from fano3.exactcore import TrilinearForm
 
@@ -357,7 +358,7 @@ def _enumerate_cell(center: Center, g: int, bound: int) -> list[LinkCandidate]:
     else:
         rays, b1 = _ray_trials(vals), {i: _b1_trials(vals, i) for i in (1, 2, 3, 4)}
     cands = [*_ray_candidates(center, g, vals, h0, rays), *_b1_candidates(center, g, vals, h0, b1)]
-    cands.sort(key=lambda c: (c.g, c.ctype, c.fbar))
+    cands.sort(key=lambda c: (c.ctype, c.fbar))  # one genus per cell
     return cands
 
 
@@ -378,15 +379,14 @@ def enumerate_links(
     genus given: the brute-force oracle the tests compare the solve against."""
     if center not in CENTER_DATA:
         raise ValueError(f"center must be one of line, conic, point, got {center!r}")
-    if search_bound < 0:
-        raise ValueError(f"search_bound must be >= 0, got {search_bound}")
+    if search_bound:  # checked only where a box is asked for, off the default path
+        search_bound = as_int(search_bound, "search_bound")
+        if search_bound < 0:
+            raise ValueError(f"search_bound must be >= 0, got {search_bound}")
     if isinstance(g_range, range):  # ascending, a range is sorted without repeats: never listed
         genera = g_range if g_range.step > 0 else g_range[::-1]
     else:
-        given = set(g_range)
-        genera = sorted({int(g) for g in given})
-        if given != set(genera):  # int() alone would run 7.5 as 7
-            raise ValueError(f"genus must be an integer, got {min(given - set(genera), key=repr)!r}")
+        genera = sorted({as_int(g, "genus") for g in g_range})
     if genera and genera[0] < 2:
         raise ValueError(f"genus must be >= 2, got {genera[0]}")
     if not search_bound:  # no genus above the cap has a candidate
@@ -448,10 +448,6 @@ def _status(cand: LinkCandidate, facts: catalog.LinkFactStore) -> str:
 
 # --- Picard-number-2 primitive enumeration -------------------------------
 
-# the second-ray types in the order RAY_TYPE lists them
-RAY2_ORDER = list(dict.fromkeys(tag for lins in RAY_TYPE.values() for tag in lins.values()))
-
-
 class Rho2Solution(NamedTuple):
     """One primitive rho=2 solution: conic bundle with discriminant degree d
     plus a second ray of the stated type."""
@@ -478,7 +474,8 @@ def rho2_primitive_enumerate(bound: int = 8) -> list[Rho2Solution]:
     primitive rho=2 Fano threefold carrying a conic bundle with discriminant
     degree d.  Before that filter the list is complete, as _rho2_trials caps
     b by argument.  Half-integral (a, b) are admitted exactly on the C2 side
-    (d = 0)."""
+    (d = 0).  Sorted by antik_cube, which no two solutions share."""
+    bound = as_int(bound, "bound")
     sols: list[Rho2Solution] = []
     for d in range(0, 12):
         if d in (1, 2):
@@ -491,14 +488,13 @@ def rho2_primitive_enumerate(bound: int = 8) -> list[Rho2Solution]:
             sol = _rho2_trial(d, s, i, j, q2)
             if sol is not None:
                 sols.append(sol)
-    sols.sort(key=lambda s: (s.antik_cube, RAY2_ORDER.index(s.ray2), s.d))
+    sols.sort(key=lambda s: s.antik_cube)
     return sols
 
 
 def _rho2_trials(d: int, s: int) -> list[tuple[int, int, int]]:
-    """Every (i, j, q2) with (a, b) = (i/s, j/s) that can pass _rho2_trial,
-    in (i, j) order, systems in RAY_TYPE order.  j runs up to the cap on b
-    below; i is solved from j."""
+    """Every (i, j, q2) with (a, b) = (i/s, j/s) that can pass _rho2_trial.
+    j runs up to the cap on b below; i is solved from j."""
     coef = 12 - d
     # The cap on b, for D = a(-K) - bM with (-K)^2.M = coef, (-K).M^2 = 2 and
     # M^3 = 0, and lin = (-K)^2.D:
@@ -525,7 +521,6 @@ def _rho2_trials(d: int, s: int) -> list[tuple[int, int, int]]:
             for num, den in quotients:  # i = num/den, where num > 0
                 if den > 0 and num % den == 0:
                     trials.append((num // den, j, q2))
-    trials.sort(key=lambda t: t[:2])
     return trials
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
+from fano3 import as_int
 from fano3.exactcore import Basis, DivisorClass, Rat, cls2
 
 
@@ -21,6 +22,7 @@ class ScrollData(NamedTuple("ScrollData", [("splitting", tuple[int, ...])])):
     def __new__(cls, splitting: Sequence[int]) -> ScrollData:
         if len(splitting) < 2:
             raise ValueError("scrolls here have rank >= 2")
+        splitting = [as_int(d, "splitting degree") for d in splitting]
         if any(d < 0 for d in splitting):
             raise ValueError("splitting degrees must be >= 0")
         return super().__new__(cls, tuple(sorted(splitting, reverse=True)))
@@ -94,6 +96,7 @@ class HyperellipticCandidate(NamedTuple):
 def hyperelliptic_candidates(g: int) -> list[HyperellipticCandidate]:
     """All rank-3 splittings with d_i > 0, sum d_i = g - 1, each with the
     branch class 4M + 2(2 - sum d_i) F = (4, 2(3-g))."""
+    g = as_int(g, "genus")
     if g < 2:
         raise ValueError("genus must be >= 2")
     # Fraction, not int: bench/ digests these coordinates as they stand and
@@ -129,6 +132,7 @@ def trigonal_candidates(g: int) -> list[TrigonalCandidate]:
     class X = 3M + (2 - sum d_i) F and, for each k with max d_i >= k (so that
     G' in |M - kF| exists), the sign test X.G'.G^2 >= 0 with G = M - F.
     The first negative witness excludes the splitting."""
+    g = as_int(g, "genus")
     if g < 5:
         raise ValueError("genus must be >= 5")
     total = g - 2

@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from fano3 import as_int
+
 
 class WeightSystem(NamedTuple("WeightSystem", [("weights", tuple[int, ...])])):
     __slots__ = ()
@@ -20,9 +22,10 @@ class WeightSystem(NamedTuple("WeightSystem", [("weights", tuple[int, ...])])):
     def __new__(cls, weights: Sequence[int]) -> WeightSystem:
         if len(weights) < 2:
             raise ValueError("need at least two weights")
+        weights = tuple(as_int(w, "weight") for w in weights)
         if any(w < 1 for w in weights):
             raise ValueError("weights must be positive integers")
-        return super().__new__(cls, tuple(int(w) for w in weights))
+        return super().__new__(cls, weights)
 
     @property
     def dim(self) -> int:
@@ -77,7 +80,7 @@ class CompleteIntersectionSpec(
 
     # _replace bypasses __new__: change a field through the constructor
     def __new__(cls, weights: WeightSystem, degrees: Sequence[int]) -> CompleteIntersectionSpec:
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(as_int(d, "degree") for d in degrees)
         if any(d < 1 for d in degrees):
             raise ValueError("degrees must be positive")
         if len(degrees) >= weights.dim:

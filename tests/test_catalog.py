@@ -221,6 +221,28 @@ def test_checks_that_no_single_field_mutant_fails_alone(cat):
     }
 
 
+def test_single_field_mutants_that_pass_every_check(cat):
+    # what verify cannot see yet: an index no check bounds tightly enough, and
+    # h0_tangent on the three entries without moduli_dim, which it is checked against
+    original = {e.id: e for e in cat.entries}
+    unseen = set()
+    for mutant in _single_field_mutants(cat):
+        if all(r.passed for r in catalog.verify(mutant)):
+            old = original[mutant.id]
+            (field,) = [f for f in mutant._fields if getattr(mutant, f) != getattr(old, f)]
+            unseen.add((mutant.id, field, getattr(mutant, field)))
+    index_ids = ["p3", "fano-g5", "fano-g9", "rho2-prim-4", "rho2-impa-2", "rho2-impb-v2",
+                 "rho2-impb-v4", "rho2-impb-5", "rho2-impb-10", "rho2-impb-12", "rho2-impb-13"]
+    assert unseen == {
+        *((i, "index", 2) for i in index_ids),
+        ("rho2-prim-7", "index", 3),
+        ("rho2-impb-16", "index", 3),
+        *(("p3", "h0_tangent", v) for v in (16, 17)),
+        *(("quadric", "h0_tangent", v) for v in (11, 12)),
+        *(("v5", "h0_tangent", v) for v in (4, 5)),
+    }
+
+
 def test_imprimitive_h12_matches_blowup_bookkeeping(cat):
     # h12 of a curve blowup is h12 of the base plus the genus of the center
     for e in cat.entries:

@@ -146,6 +146,8 @@ def test_reproduce_script_runs_every_command():
     headers = [line for line in done.stdout.splitlines() if line.startswith("== fano3")]
     assert len(commands) == 14
     assert headers == [" ".join(["== fano3", *argv]) for argv in commands]
+    # every table the script prints, byte for byte
+    assert done.stdout == (ROOT / "tests" / "golden" / "reproduce.txt").read_text()
 
 
 def test_catalog_facts():

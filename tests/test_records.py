@@ -19,6 +19,7 @@ from fano3.wps import CompleteIntersectionSpec, WeightSystem
     [
         (lambda: CurveCenter(0, 0), r"centers on Fano varieties have \(-K\).Z >= 1"),
         (lambda: CurveCenter(1, -1), "genus must be >= 0"),
+        (lambda: CurveCenter(1.5, 0), "deg_antik must be an integer, got 1.5"),
         (lambda: DivisorClass(Basis.KE, [1, 2, 3]), "a class has 2 coordinates, got 3"),
         (lambda: TrilinearForm(Basis.KE, [1, 2, 3]), "a form stores 4 values, got 3"),
         (lambda: FanoNumerics(3, 2, Fraction(7, 3)), "degree H\\^n must be an integer"),
@@ -27,12 +28,16 @@ from fano3.wps import CompleteIntersectionSpec, WeightSystem
         (lambda: FanoNumerics(3, 4, 2), "iota = n\\+1 forces H\\^n = 1"),
         (lambda: FanoNumerics(3, 3, 1), "iota = n forces H\\^n = 2"),
         (lambda: FanoNumerics(3, 1, 7), "coindex 3 needs even integral degree"),
+        (lambda: FanoNumerics(3, 1.5, 22), "index must be an integer, got 1.5"),
         (lambda: ScrollData((3,)), "scrolls here have rank >= 2"),
         (lambda: ScrollData((2, -1)), "splitting degrees must be >= 0"),
+        (lambda: ScrollData((1.5, 2)), "splitting degree must be an integer, got 1.5"),
         (lambda: WeightSystem((1,)), "need at least two weights"),
         (lambda: WeightSystem((1, 0, 2)), "weights must be positive integers"),
+        (lambda: WeightSystem((1.5, 1, 1)), "weight must be an integer, got 1.5"),
         (lambda: CompleteIntersectionSpec(WeightSystem((1, 1, 1, 1, 1)), [0]), "degrees must be positive"),
         (lambda: CompleteIntersectionSpec(WeightSystem((1, 1, 1)), [2, 2]), "codimension must be < dim"),
+        (lambda: CompleteIntersectionSpec(WeightSystem((1, 1, 1, 1, 1)), [2.7]), "degree must be an integer, got 2.7"),
     ],
 )
 def test_validating_records_raise_a_plain_value_error(make, message):
@@ -56,6 +61,15 @@ def test_validating_records_normalize_their_fields():
     assert (type(degree), degree) == (int, 22)
     assert FanoNumerics.from_genus(3, 12) == FanoNumerics(3, 1, 22)
     assert CurveCenter(2, 0) == (2, 0)
+    # an integral value of another type is stored as the int
+    for built, twin in [
+        (WeightSystem((2.0, Fraction(1), 1)).weights, (2, 1, 1)),
+        (CompleteIntersectionSpec(WeightSystem((1, 1, 1, 1, 1)), [2.0]).degrees, (2,)),
+        (CurveCenter(Fraction(2), 0.0), (2, 0)),
+        (ScrollData((1.0, 3)).splitting, (3, 1)),
+        (FanoNumerics(3.0, Fraction(1), 22.0), (3, 1, 22)),
+    ]:
+        assert built == twin and [type(v) for v in built] == [int] * len(twin)
 
 
 def test_plain_records_are_tuples():

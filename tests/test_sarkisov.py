@@ -7,13 +7,12 @@ from fractions import Fraction
 import pytest
 
 from fano3 import catalog, sarkisov
-from fano3.blowup import CurveCenter, PointCenter, vanishing_conditions
+from fano3.blowup import PointCenter, vanishing_conditions
 from fano3.cli import main
 from fano3.exactcore import Basis, cls2, eval_form, form2
 from fano3.riemannroch import FanoNumerics, hilbert_polynomial
 from fano3.sarkisov import (
     GENUS_CAP,
-    RAY2_ORDER,
     RAY_TYPE,
     TargetInvariants,
     _b1_candidates,
@@ -27,7 +26,6 @@ from fano3.sarkisov import (
     _rho2_trial,
     _rho2_trials,
     enumerate_links,
-    euler_propagate,
     filter_links,
     midpoint_form,
     rho2_primitive_enumerate,
@@ -424,6 +422,12 @@ def test_enumerate_links_rejects_bad_arguments():
         with pytest.raises(ValueError, match=f"genus must be an integer, got {shown}"):
             enumerate_links("line", [g, 8])
     assert enumerate_links("line", [7.0, 8]) == enumerate_links("line", [7, 8])
+    # the bounds follow the same rule
+    with pytest.raises(ValueError, match="search_bound must be an integer, got 2.5"):
+        enumerate_links("line", [7], search_bound=2.5)
+    with pytest.raises(ValueError, match="bound must be an integer, got 7.5"):
+        rho2_primitive_enumerate(7.5)
+    assert rho2_primitive_enumerate(8.0) == rho2_primitive_enumerate(8)
 
 
 def test_solved_trials_cover_every_box_point():
@@ -689,23 +693,6 @@ def test_solvers_carry_int():
     assert all(set(row["ebar_cube"]) == set(row["defect"]) == {"num", "den"} for row in rows)
 
 
-# --- Euler propagation ------------------------------------------------------
-
-def test_euler_values_from_catalog_targets():
-    cat = catalog.load()
-    chi = {e.id: e.chi_top for e in cat.entries}
-    line = CurveCenter(1, 0)
-    conic = CurveCenter(2, 0)
-    cases = {
-        7: euler_propagate(chi["quadric"], CurveCenter(10, 7), conic),
-        8: euler_propagate(chi["v3"], CurveCenter(4, 0), PointCenter()),
-        9: euler_propagate(chi["p3"], CurveCenter(7, 3), line),
-        10: euler_propagate(chi["quadric"], CurveCenter(7, 2), line),
-        12: euler_propagate(chi["v5"], CurveCenter(5, 0), line),
-    }
-    assert cases == {7: -10, 8: -6, 9: -2, 10: 0, 12: 4}
-
-
 # --- rho = 2 ----------------------------------------------------------------
 
 def test_rho2_primitive_solutions():
@@ -748,7 +735,7 @@ def _rho2_grid_scan(bound):
                     sol = _rho2_trial(d, s, i, j, q2)
                     if sol is not None:
                         sols.append(sol)
-    sols.sort(key=lambda s: (s.antik_cube, RAY2_ORDER.index(s.ray2), s.d))
+    sols.sort(key=lambda s: s.antik_cube)
     return sols
 
 

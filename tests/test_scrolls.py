@@ -192,6 +192,14 @@ def test_trigonal_case_lists():
     assert g10[(5, 1, 1, 1)].excluded
 
 
+@pytest.mark.parametrize("make", [hyperelliptic_candidates, trigonal_candidates])
+def test_case_lists_take_an_integer_genus(make):
+    with pytest.raises(ValueError, match="genus must be an integer, got 7.5") as info:
+        make(7.5)
+    assert type(info.value) is ValueError
+    assert make(8.0) == make(8)
+
+
 def test_trigonal_witness_matches_intersection_loop():
     # the closed-form first witness against the sign test run at every k
     for g in range(5, 31):
