@@ -128,14 +128,20 @@ def _cmd_scroll(args) -> tuple[Any, str]:
             raise ValueError(f"genus must be at most {SCROLL_MAX_GENUS}, got {genus}")
         from fano3 import catalog
 
+        cands = scrolls.mark_realized(make(genus), catalog.realized_scrolls(kind, genus))
+        # every row of a list has the same branch class, and every excluded
+        # row the same witness: each is converted once
+        if kind == "hyperelliptic":
+            branch = [Fraction(v) for v in cands[0].branch_class.coords] if cands else None
+        else:
+            witness = next((Fraction(c.witness) for c in cands if c.excluded), None)
         rows = []
-        for c in scrolls.mark_realized(make(genus), catalog.realized_scrolls(kind, genus)):
+        for c in cands:
             row = {"splitting": list(c.scroll.splitting), "status": c.status, "entry": c.realized_as}
             if kind == "hyperelliptic":
-                row["branch"] = [Fraction(v) for v in c.branch_class.coords]
+                row["branch"] = branch
             else:
-                witness = None if c.witness is None else Fraction(c.witness)
-                row.update(witness=witness, witness_k=c.witness_k)
+                row.update(witness=witness if c.excluded else None, witness_k=c.witness_k)
             rows.append(row)
         table = "\n".join(
             f"{str(r['splitting']):15s} {r['status']}"

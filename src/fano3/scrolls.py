@@ -7,6 +7,7 @@ Top intersections use M^m = sum(d_i), M^(m-1).F = 1, and F.F = 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 from fano3 import as_int
@@ -102,11 +103,12 @@ def hyperelliptic_candidates(g: int) -> list[HyperellipticCandidate]:
     # Fraction, not int: bench/ digests these coordinates as they stand and
     # pins the Fraction form (cli wraps each one in Fraction itself).
     branch = cls2(Basis.MF, Fraction(4), Fraction(2 * (3 - g)))
-    # _make is tuple.__new__ and skips ScrollData's checks: _splittings only
-    # yields descending tuples of positive parts of the requested length
-    scroll = ScrollData._make
-    make = HyperellipticCandidate._make
-    return [make((scroll((sp,)), branch, None)) for sp in _splittings(g - 1, 3)]
+    # The rows are built by tuple.__new__, which skips ScrollData's checks:
+    # _splittings only yields descending tuples of positive parts of the
+    # requested length.  zip(xs) yields the 1-tuples (x,).
+    new = tuple.__new__
+    scrolls = map(new, repeat(ScrollData), zip(_splittings(g - 1, 3)))
+    return list(map(new, repeat(HyperellipticCandidate), zip(scrolls, repeat(branch), repeat(None))))
 
 
 class TrigonalCandidate(NamedTuple):
@@ -142,11 +144,12 @@ def trigonal_candidates(g: int) -> list[TrigonalCandidate]:
     # first negative value is at k0, and it exists exactly when d_1 >= k0.
     k0 = (2 * total - 4) // 3 + 1
     witness = Fraction(2 * total - 3 * k0 - 4)  # Fraction for bench/, as the branch class
-    # as in hyperelliptic_candidates, the rows are valid by construction
-    scroll = ScrollData._make
-    make = TrigonalCandidate._make
+    # built by tuple.__new__ as in hyperelliptic_candidates: every field after
+    # the scroll is one of two row tails
+    new = tuple.__new__
+    kept, excluded = (member, None, None, None), (member, witness, k0, None)
     return [
-        make((scroll((sp,)), member, *((witness, k0) if sp[0] >= k0 else (None, None)), None))
+        new(TrigonalCandidate, (new(ScrollData, (sp,)),) + (excluded if sp[0] >= k0 else kept))
         for sp in _splittings(total, 4)
     ]
 
@@ -157,8 +160,10 @@ def mark_realized(
 ) -> list[HyperellipticCandidate | TrigonalCandidate]:
     """Annotate candidates whose splitting appears in the realized map
     (splitting -> catalog entry id); everything else keeps its status."""
-    out = []
-    for cand in candidates:
-        entry = realized.get(cand.scroll.splitting)
-        out.append(cand if entry is None else cand._replace(realized_as=entry))
+    out = list(candidates)
+    if realized:  # empty for every genus above the catalog's models
+        for i, cand in enumerate(out):
+            entry = realized.get(cand.scroll.splitting)
+            if entry is not None:
+                out[i] = cand._replace(realized_as=entry)
     return out

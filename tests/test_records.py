@@ -20,6 +20,7 @@ from fano3.wps import CompleteIntersectionSpec, WeightSystem
         (lambda: CurveCenter(0, 0), r"centers on Fano varieties have \(-K\).Z >= 1"),
         (lambda: CurveCenter(1, -1), "genus must be >= 0"),
         (lambda: CurveCenter(1.5, 0), "deg_antik must be an integer, got 1.5"),
+        (lambda: CurveCenter(float("inf"), 0), "deg_antik must be an integer, got inf"),
         (lambda: DivisorClass(Basis.KE, [1, 2, 3]), "a class has 2 coordinates, got 3"),
         (lambda: TrilinearForm(Basis.KE, [1, 2, 3]), "a form stores 4 values, got 3"),
         (lambda: FanoNumerics(3, 2, Fraction(7, 3)), "degree H\\^n must be an integer"),
@@ -35,6 +36,7 @@ from fano3.wps import CompleteIntersectionSpec, WeightSystem
         (lambda: WeightSystem((1,)), "need at least two weights"),
         (lambda: WeightSystem((1, 0, 2)), "weights must be positive integers"),
         (lambda: WeightSystem((1.5, 1, 1)), "weight must be an integer, got 1.5"),
+        (lambda: WeightSystem((None, 1)), "weight must be an integer, got None"),
         (lambda: CompleteIntersectionSpec(WeightSystem((1, 1, 1, 1, 1)), [0]), "degrees must be positive"),
         (lambda: CompleteIntersectionSpec(WeightSystem((1, 1, 1)), [2, 2]), "codimension must be < dim"),
         (lambda: CompleteIntersectionSpec(WeightSystem((1, 1, 1, 1, 1)), [2.7]), "degree must be an integer, got 2.7"),

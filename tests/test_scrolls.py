@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fano3 import catalog
+from fano3.cli import SCROLL_MAX_GENUS
 from fano3.exactcore import Basis, cls2
 from fano3.scrolls import (
     HyperellipticCandidate,
@@ -140,15 +142,35 @@ def _row_types(cands):
 
 
 def test_trusted_rows_match_the_validated_oracle():
-    for g in range(2, 101):
+    for g in range(2, SCROLL_MAX_GENUS + 1):
         got, want = hyperelliptic_candidates(g), _hyperelliptic_oracle(g)
         assert got == want, g
         assert _row_types(got) == _row_types(want), g
-    for g in range(5, 61):
+    # the whole trigonal range would add about a second: its top genus stands in for 61..99
+    for g in (*range(5, 61), SCROLL_MAX_GENUS):
         got, want = trigonal_candidates(g), _trigonal_oracle(g)
         assert got == want, g
         assert [(c.witness, c.witness_k) for c in got] == [(c.witness, c.witness_k) for c in want], g
         assert _row_types(got) == _row_types(want), g
+
+
+@pytest.mark.parametrize(
+    "kind,make,rank,g_min",
+    [("hyperelliptic", hyperelliptic_candidates, 3, 2), ("trigonal", trigonal_candidates, 4, 5)],
+)
+def test_mark_realized_matches_a_per_row_reference(kind, make, rank, g_min):
+    for g in range(g_min, SCROLL_MAX_GENUS + 1):
+        cands = make(g)
+        before = list(cands)
+        # the first row, the last row, and a splitting no list holds (its parts are 0)
+        synthetic = {(0,) * rank: "absent"}
+        if cands:
+            synthetic.update({cands[0].scroll.splitting: "first", cands[-1].scroll.splitting: "last"})
+        for m in (catalog.realized_scrolls(kind, g), synthetic):
+            got = mark_realized(cands, m)
+            want = [c._replace(realized_as=m[c.scroll.splitting]) if c.scroll.splitting in m else c for c in cands]
+            assert got == want and got is not cands, (g, m)
+            assert cands == before, (g, m)
 
 
 @pytest.mark.parametrize(
