@@ -16,15 +16,20 @@ from types import MappingProxyType
 from typing import Any, Optional, Sequence
 
 
+# the leaves that pass as they are, by exact type: the containers test a value
+# against this before they make a call for it
+_PLAIN = frozenset((int, str, bool, type(None)))
+
+
 def _jsonable(obj: Any) -> Any:
     # the classes are disjoint, so the order only sets the cost: the Fraction
     # test goes through ABCMeta.__instancecheck__ and comes last
-    if isinstance(obj, (bool, int, str)) or obj is None:
+    if type(obj) in _PLAIN or isinstance(obj, (bool, int, str)):  # a str enum too
         return obj
     if isinstance(obj, (dict, MappingProxyType)):  # the catalog's objects are proxies
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): v if type(v) in _PLAIN else _jsonable(v) for k, v in obj.items()}
     if type(obj) in (list, tuple):  # not a record, though every record is a tuple
-        return [_jsonable(v) for v in obj]
+        return [v if type(v) in _PLAIN else _jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
         return {"num": str(obj.numerator), "den": str(obj.denominator)}
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -133,7 +133,8 @@ def _m_cap(h0: int, a: int, b: int, birational: bool) -> Optional[int]:
     system moves; None where h0, the cell's lower bound on h^0(-K_tilde - E),
     does not show it non-empty.  A cap of 0 fails effectivity (m = 1), so
     the caller rejects the trial.  The box scans test that before any other
-    guard and rest on this rule: _b1_candidates as a_f > _m_cap(h0, 1, iota, True),
+    guard and rest on this rule: _b1_candidates as a_m > (_m_cap(h0, 1, iota, True)
+    + 1) // iota, as a_f = iota*a_m - 1 and m_cap(a) = m_cap(1) // a, and
     _ray_candidates as a > b, as every a > b >= 1 has cap 0 once h0 >= 1."""
     if h0 < 1:
         return None
@@ -248,16 +249,21 @@ def _b1_candidates(
 ) -> Iterable[LinkCandidate]:
     """The curve blowdowns onto a Fano of index iota, from each a_m in trials[iota],
     each dropped by the first guard it fails, in the order a_f >= 1, effectivity
-    (m_cap >= 1), d(Y), deg Z >= 1, 2g(Z) - 2 and the defect.  Effectivity needs
-    a_f alone, as b_f = iota makes m_cap = _m_cap(h0, 1, iota, True) // a_f."""
+    (m_cap >= 1), d(Y), deg Z >= 1, 2g(Z) - 2 and the defect.  The first two
+    read a_m alone, as one interval lo <= a_m <= hi per index: a_f = iota*a_m - 1
+    >= 1 is a_m >= lo = ceil(2/iota), and as b_f = iota makes m_cap = top // a_f
+    with top = _m_cap(h0, 1, iota, True), effectivity a_f <= top is
+    a_m <= hi = floor((top + 1)/iota), unbounded where top is None."""
     k3, ke, kee, e3 = vals
     for iota, a_ms in trials.items():
         b_f = iota
         top = _m_cap(h0, 1, b_f, birational=True)
+        lo = -(-2 // iota)
+        hi = math.inf if top is None else (top + 1) // iota
         for a_m in a_ms:
-            a_f = iota * a_m - 1
-            if a_f < 1 or (top is not None and a_f > top):
+            if a_m < lo or a_m > hi:
                 continue
+            a_f = iota * a_m - 1
             iota_d = k3 * a_m * a_m - 2 * a_m * ke + kee  # Mbar^2.(-K) = iota*d(Y)
             if iota_d <= 0 or iota_d % iota:
                 continue

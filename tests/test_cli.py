@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fano3.cli import COMMANDS, dumps, main
+from fano3.cli import COMMANDS, build_parser, dumps, main
 from fano3.exactcore import Basis
 from fano3.scrolls import ScrollData
 
@@ -519,12 +519,43 @@ def test_dumps_accepts(obj, expected):
 
 @pytest.mark.parametrize(
     "obj",
-    [1.5, 1j, b"M", {1}, frozenset(), Decimal(1), collections.UserList([1]), ScrollData((1, 1)), [1, 0.5]],
-    ids=["float", "complex", "bytes", "set", "frozenset", "decimal", "list-subclass", "record", "nested-float"],
+    [1.5, 1j, b"M", {1}, frozenset(), Decimal(1), collections.UserList([1]), ScrollData((1, 1)), [1, 0.5],
+     {"a": ScrollData((1, 1))}, [1, ScrollData((1, 1))], (None, ScrollData((1, 1)))],
+    ids=["float", "complex", "bytes", "set", "frozenset", "decimal", "list-subclass", "record", "nested-float",
+         "record-in-dict", "record-in-list", "record-in-tuple"],
 )
 def test_dumps_rejects(obj):
     with pytest.raises(TypeError, match="cannot serialize"):
         dumps(obj)
+
+
+def _reference_jsonable(obj):
+    # the walker without the exact-type pass-through: one call per value
+    if isinstance(obj, (bool, int, str)) or obj is None:
+        return obj
+    if isinstance(obj, (dict, MappingProxyType)):
+        return {str(k): _reference_jsonable(v) for k, v in obj.items()}
+    if type(obj) in (list, tuple):
+        return [_reference_jsonable(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return {"num": str(obj.numerator), "den": str(obj.denominator)}
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def test_dumps_matches_the_reference_walker():
+    argvs = [
+        *GOLDEN_COMMANDS.values(),
+        *(["scroll", "--hyperelliptic", str(g)] for g in range(2, 101)),
+        *(["scroll", "--trigonal", str(g)] for g in (*range(5, 61), 100)),
+        *(["catalog", "list", "--rho", str(rho)] for rho in (1, 2, 3)),
+        ["catalog", "verify", "--all"],
+        *(["link", "--center", c, "--genus-range", "2..60", "--show-excluded"] for c in ("line", "conic", "point")),
+    ]
+    for argv in argvs:
+        args = build_parser().parse_args(argv)
+        payload = COMMANDS[args.command](args)[0]
+        expected = json.dumps(_reference_jsonable(payload), sort_keys=True, separators=(",", ":")) + "\n"
+        assert dumps(payload) == expected, argv
 
 
 def _loaded_modules(code):

@@ -551,10 +551,21 @@ def test_b1_guard_drops_its_trial(vals, h0, trials):
 
 
 def test_b1_effectivity_is_tested_before_any_arithmetic_on_the_cell():
-    # h0 >= 2 caps a_f at iota - 1, so every a_m other than 1 is dropped by the
-    # first two guards, which read no midpoint value: None would raise
-    trials = {iota: [*range(-3, 1), *range(2, 200)] for iota in (1, 2, 3, 4)}
-    assert list(_b1_candidates("line", 2, (None,) * 4, 2, trials)) == []
+    # the first two guards, a_f = iota*a_m - 1 >= 1 and a_f <= top, read a_m
+    # alone as one interval: exactly the trials they fail are dropped before
+    # any midpoint value is read, and every other trial reaches the arithmetic
+    # on the cell, where None raises
+    for iota in (1, 2, 3, 4):
+        for h0 in range(-3, 6):
+            top = _m_cap(h0, 1, iota, True)
+            for a_m in range(-5, 81):
+                a_f = iota * a_m - 1
+                trials = {iota: [a_m]}
+                if a_f < 1 or (top is not None and a_f > top):
+                    assert list(_b1_candidates("line", 2, (None,) * 4, h0, trials)) == [], (iota, h0, a_m)
+                else:
+                    with pytest.raises(TypeError):
+                        list(_b1_candidates("line", 2, (None,) * 4, h0, trials))
 
 
 @pytest.mark.parametrize("center", ["line", "conic", "point"])
