@@ -9,7 +9,7 @@ against catalog facts, source and target matched to entries by (index, (-K)^3).
 
 The trials are solved, not searched: each entry of RAY_TYPE gives at most
 one fiber, conic-bundle or point-blowdown trial through the identity in
-_ray_trials, and B1 trials come from a quadratic per admitted target degree.
+_ray_trials, and the B1 trials are bounded by the defect at every index.
 """
 
 from __future__ import annotations
@@ -52,15 +52,16 @@ POINT_SINGULARITY = {
     "B5": "quotient point C^3/{+-1}, non-Gorenstein of multiplicity 4",
 }
 
-# No solved trial exists above this genus, so enumerate_links clips the genera
+# No candidate exists above this genus, so enumerate_links clips the genera
 # here.  The midpoint (k3, ke, kee) is (2g - 6, 3, -2), (2g - 8, 4, -2) and
 # (2g - 10, 4, -2) on the line, conic and point, with k3 > 0 where solved.
 # - D and C (q2 = 0, 2 and lin <= 9, 12): the identity in _ray_trials with
 #   b >= 1 gives k3*(2 + q2) <= lin^2 - ke^2.
 # - B2..B5 (q2 = -2 and lin <= 4 < 2*ke): the same identity leaves b = 1 and
 #   lin = ke, and a = 2*ke/k3 then gives k3 <= 2*ke.
-# - B1 onto iota >= 2: k3*a^2 = 2*ke*a + 2 + iota*d (_b1_trials) with a >= 1
-#   and iota*d <= 10 (B1_DEGREES) gives k3 <= 2*ke + 12.
+# - B1 onto iota >= 2: k3*a^2 = 2*ke*a + 2 + iota*d (the iota_d guard of
+#   _b1_candidates) with a >= 1 and iota*d <= 10 (B1_DEGREES) gives
+#   k3 <= 2*ke + 12.
 # - B1 onto iota = 1: the effectivity guard of _b1_candidates drops all once h0 >= 2.
 # So k3 <= 36 on the line and 32 on the conic and the point: g <= 21, 20, 21.
 GENUS_CAP = 21
@@ -298,43 +299,24 @@ def _b1_candidates(
             )
 
 
-def _b1_trials(vals: tuple[int, ...], iota: int) -> Iterable[int]:
-    """Every a_m that can pass the B1 checks for a target of index iota."""
+def _b1_trials(vals: tuple[int, ...], iota: int) -> range:
+    """Every a_m that can pass the B1 checks for a target of index iota: those
+    with a non-negative defect, at every h0 (_b1_candidates applies d(Y) and
+    effectivity).  With d = Mbar^2.(-K)/iota substituted, iota*(Ebar^3 - E^3)
+    is the cubic below in a_m with leading coefficient iota*k3 > 0; it is
+    positive (negative defect) beyond the Cauchy bound 1 + max|c_i|/(iota*k3)
+    on its real roots, whether or not iota divides Mbar^2.(-K)."""
     k3, ke, kee, e3 = vals
-    if iota > 1:
-        # Mbar^2.(-K) = iota*d is a quadratic in a_m for each admitted d
-        return [a for d in B1_DEGREES[iota] for a in _integer_roots(k3, -2 * ke, kee - iota * d)]
-    # iota = 1 admits every even d, so bound a_m by the defect instead, at
-    # every h0 (_b1_candidates applies effectivity): with d = Mbar^2.(-K)
-    # substituted, Ebar^3 - E^3 is the cubic below in a_m with leading
-    # coefficient k3 > 0; it is positive (negative defect) beyond the Cauchy
-    # bound 1 + max|c_i|/k3 on its real roots.
-    coeffs = (-(3 * ke + k3), 3 * kee + 2 * ke, -(kee + e3))
-    return range(1, 1 + max(abs(c) for c in coeffs) // k3 + 1)
-
-
-def _integer_roots(aa: int, bb: int, cc: int) -> list[int]:
-    """Positive integer roots of aa*x^2 + bb*x + cc = 0 (aa != 0)."""
-    disc = bb * bb - 4 * aa * cc
-    if disc < 0:
-        return []
-    root = math.isqrt(disc)
-    if root * root != disc:
-        return []
-    out = set()
-    for num in (-bb + root, -bb - root):
-        x, rem = divmod(num, 2 * aa)
-        if rem == 0 and x > 0:
-            out.add(x)
-    return sorted(out)
+    coeffs = (-(3 * iota * ke + k3), 3 * iota * kee + 2 * ke, -(kee + iota * e3))
+    return range(1, 1 + max(abs(c) for c in coeffs) // (iota * k3) + 1)
 
 
 def _point_blowdown_box(vals: tuple[int, ...], bound: int) -> Iterable[tuple[int, int]]:
     """Every (a_f, b_f) in 1..bound on Fbar^2.(-K) = -2, b_f ascending per a_f:
-    kee*b^2 - 2a*ke*b + k3*a^2 + 2 = 0 solved for b inline, not through
-    _integer_roots, as this runs once per a_f of every box cell.  The reduced
-    discriminant is a^2*den - 2*kee (den as in _ray_trials), and kee < 0
-    (see _ray_trials) makes b = (a*ke + root)/kee the smaller root."""
+    kee*b^2 - 2a*ke*b + k3*a^2 + 2 = 0 solved for b inline, once per a_f of
+    every box cell.  The reduced discriminant is a^2*den - 2*kee (den as in
+    _ray_trials), and kee < 0 (see _ray_trials) makes b = (a*ke + root)/kee
+    the smaller root."""
     k3, ke, kee, _ = vals
     den = ke * ke - k3 * kee
     for a_f in range(1, bound + 1):
@@ -379,10 +361,11 @@ def enumerate_links(
     (g, type, fbar).
 
     With the default search_bound=0 the trial coefficients are the solutions
-    of each contraction type's defining equations, so no box is scanned, and
-    every genus set is clipped to GENUS_CAP, above which none exist.  With
-    search_bound=N >= 1 they are every coefficient in 1..N instead, at every
-    genus given: the brute-force oracle the tests compare the solve against."""
+    of each ray type's defining equations and the B1 range the defect bounds,
+    so no box is scanned, and every genus set is clipped to GENUS_CAP, above
+    which no candidate exists.  With search_bound=N >= 1 they are every
+    coefficient in 1..N instead, at every genus given: the brute-force oracle
+    the tests compare the solve against."""
     if center not in CENTER_DATA:
         raise ValueError(f"center must be one of line, conic, point, got {center!r}")
     if search_bound:  # checked only where a box is asked for, off the default path

@@ -1,6 +1,7 @@
 import collections
 import io
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from fano3.sarkisov import (
     TargetInvariants,
     _b1_candidates,
     _b1_trials,
-    _integer_roots,
     _m_cap,
     _point_blowdown_box,
     _ray_candidates,
@@ -34,6 +34,23 @@ from fano3.sarkisov import (
 
 def by_key(cands):
     return {(c.g, c.ctype, c.fbar): c for c in cands}
+
+
+def _integer_roots(aa, bb, cc):
+    """Positive integer roots of aa*x^2 + bb*x + cc = 0 (aa != 0): the general
+    solver that the inline solve of _point_blowdown_box is checked against."""
+    disc = bb * bb - 4 * aa * cc
+    if disc < 0:
+        return []
+    root = math.isqrt(disc)
+    if root * root != disc:
+        return []
+    out = set()
+    for num in (-bb + root, -bb - root):
+        x, rem = divmod(num, 2 * aa)
+        if rem == 0 and x > 0:
+            out.add(x)
+    return sorted(out)
 
 
 @pytest.mark.parametrize(
@@ -322,8 +339,8 @@ def test_round_trip_through_eval_form():
 
 def test_search_bound_sufficiency():
     # the closed-form solve against the brute-force box, from g = 2 so that
-    # the line's g = 4 cell is compared too: its index-1 B1 trials come from
-    # the Cauchy bound of _b1_trials, as h0 < 1 there
+    # the line's g = 4 cell is compared too: h0 < 1 there, so only the defect
+    # bound of _b1_trials limits its B1 trials at every index
     for center in ("line", "conic", "point"):
         solved = enumerate_links(center, range(2, 41))
         assert solved == enumerate_links(center, range(2, 41), search_bound=1000)
@@ -398,6 +415,16 @@ def test_solve_finds_nothing_above_the_genus_cap(center):
         assert sarkisov._enumerate_cell(center, g, 0) == [], g
 
 
+def test_last_genus_with_a_candidate_before_the_filter():
+    # the claim in docs/cli.md: the last genus with any unfiltered candidate
+    # is 12, 12 and 13, though every cell with k3 > 0 has B1 trials
+    last = {
+        center: max(g for g in range(2, GENUS_CAP + 1) if sarkisov._enumerate_cell(center, g, 0))
+        for center in ("line", "conic", "point")
+    }
+    assert last == {"line": 12, "conic": 12, "point": 13}
+
+
 def test_filter_links_of_nothing_reads_no_facts(monkeypatch):
     monkeypatch.setattr(catalog, "link_facts", lambda: pytest.fail("link_facts was called"))
     assert filter_links([]) == []
@@ -461,9 +488,9 @@ def test_solved_trials_cover_every_box_point():
 
 def test_b1_trials_give_every_box_candidate():
     # trial-level oracle on synthetic midpoint values (k3, ke, kee, e3): at
-    # every h0, the B1 guards pass the same a_m from the solved trials as from
-    # the box, the Cauchy bound for index 1 included, which the enumeration
-    # oracle tests on one cell only
+    # every h0, the B1 guards pass the same a_m from the defect-bounded
+    # trials as from the box, which the enumeration oracle tests on one cell
+    # only
     box = range(1, 61)
     hits = collections.Counter()
     for k3 in range(1, 9):
@@ -479,6 +506,26 @@ def test_b1_trials_give_every_box_candidate():
                             assert got == expected, (vals, iota, h0)
                             hits[iota] += len(got)
     assert hits == {1: 654, 2: 496, 3: 208, 4: 192}
+
+
+def test_b1_trials_bound_the_defect_at_every_index():
+    # every a_m past the range of _b1_trials has a negative defect, computed by
+    # the formulas of _b1_candidates with d(Y) = Mbar^2.(-K)/iota, whether or
+    # not iota divides Mbar^2.(-K)
+    for k3 in range(1, 9):
+        for ke in (*range(-6, 0), *range(1, 7)):
+            for kee in range(-6, 0):
+                for e3 in (-2, 1):
+                    vals = (k3, ke, kee, e3)
+                    for iota in (1, 2, 3, 4):
+                        trials = _b1_trials(vals, iota)
+                        for a_m in range(1, max(trials, default=0) + 11):
+                            if a_m in trials:
+                                continue
+                            iota_d = k3 * a_m * a_m - 2 * a_m * ke + kee  # Mbar^2.(-K)
+                            d = Fraction(iota_d, iota)
+                            ebar = k3 * a_m**3 - 3 * a_m * a_m * ke + 3 * a_m * kee - d
+                            assert e3 - ebar < 0, (vals, iota, a_m)
 
 
 # Synthetic (center, g, vals, trial) that each guard of _ray_candidates
