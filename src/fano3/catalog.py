@@ -9,9 +9,9 @@ backs the fact store consumed by the link filter.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from types import MappingProxyType
 from typing import Any, NamedTuple, Optional
 
@@ -92,8 +92,10 @@ def _frozen(obj: dict) -> MappingProxyType:
 
 @lru_cache(maxsize=1)
 def load() -> Catalog:
-    text = resources.files("fano3.data").joinpath("classification.json").read_text()
-    raw = json.loads(text, object_hook=_frozen)
+    # a plain open: importlib.resources would import pathlib, zipfile and
+    # tempfile, which take longer than the parse on an interpreter without site
+    with open(os.path.join(os.path.dirname(__file__), "data", "classification.json"), encoding="utf-8") as f:
+        raw = json.loads(f.read(), object_hook=_frozen)
     return Catalog(
         entries=tuple(CatalogEntry(**e) for e in raw["entries"]),
         facts=tuple(FactRecord(f["subject"], f["predicate"], f["value"]) for f in raw["facts"]),

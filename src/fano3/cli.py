@@ -1,6 +1,7 @@
 """Command-line front end.  Tables are for humans; --json is the contract.
 
-Exit codes: 0 success, 2 usage error, 3 catalog verification failure.
+Exit codes: 0 success, 2 usage error, 3 catalog verification failure; the
+process entry `run` adds 1, stdout closed.
 """
 
 from __future__ import annotations
@@ -9,11 +10,12 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Any, Optional, Sequence
+from typing import Any, NoReturn, Optional, Sequence
 
 
 # the leaves that pass as they are, by exact type: the containers test a value
@@ -455,5 +457,24 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     return code[0] if code else 0
 
 
+def run(argv: Optional[Sequence[str]] = None) -> NoReturn:
+    """The process entry (`fano3`, `python -m fano3.cli`): main, a flush of
+    stdout and stderr, then os._exit, which skips the interpreter's teardown
+    of its modules.  A stdout that cannot take the output, closed (`>&-`) or
+    a broken pipe, ends the process with 1 and nothing on stderr; os._exit
+    leaves no shutdown flush to raise the error again.  An exception that
+    escapes main is a bug and propagates as it would without run."""
+    code = 1
+    try:
+        if sys.stdout is not None:
+            code = main(argv)
+            sys.stdout.flush()
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -560,12 +560,14 @@ def test_dumps_matches_the_reference_walker():
 
 def _loaded_modules(code):
     """The fano3 modules a fresh interpreter holds after running code, plus
-    dataclasses and inspect if loaded: records are NamedTuples, so neither
-    is needed, and importing them costs more than most commands."""
-    names = "m.startswith('fano3') or m in ('dataclasses', 'inspect')"
+    dataclasses, inspect and importlib.resources if loaded: records are
+    NamedTuples and catalog.load opens its file, so none is needed, and
+    importing each costs more than most commands.  The interpreter runs
+    without site (-S), whose .pth hooks may import any of them first."""
+    names = "m.startswith('fano3') or m in ('dataclasses', 'inspect', 'importlib.resources')"
     script = f"import sys\n{code}\nprint(*sorted(m for m in sys.modules if {names}))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True)
     return set(done.stdout.split())
 
 
@@ -575,9 +577,9 @@ def _loaded_modules(code):
         (["rr", "--dim", "3", "--index", "1", "--genus", "12"], {"riemannroch"}),
         (["wps", "--weights", "1,1,1,2,3"], {"wps"}),
         (["rho2", "enumerate-primitive"], {"sarkisov", "blowup", "exactcore"}),
-        (["catalog", "list"], {"catalog", "data"}),
-        (["link", "--center", "line", "--genus-range", "7..13"], {"sarkisov", "blowup", "exactcore", "catalog", "data"}),
-        (["catalog", "verify", "--all"], {"catalog", "data", "blowup", "exactcore", "riemannroch"}),
+        (["catalog", "list"], {"catalog"}),
+        (["link", "--center", "line", "--genus-range", "7..13"], {"sarkisov", "blowup", "exactcore", "catalog"}),
+        (["catalog", "verify", "--all"], {"catalog", "blowup", "exactcore", "riemannroch"}),
     ],
     ids=["rr", "wps", "rho2", "catalog-list", "link", "catalog-verify"],
 )
@@ -666,3 +668,56 @@ def test_golden_samples(name):
     code, text = run(GOLDEN_COMMANDS[name])
     assert code == 0
     assert text == (SAMPLES / name).read_text()
+
+
+# --- the process entry ----------------------------------------------------
+
+# block-buffered stdout, so that only run's flush gets the output out
+PROCESS_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": str(ROOT / "src")}
+TRIGONAL_100 = ["scroll", "--trigonal", "100", "--json"]
+
+
+def _process(argv, stdout=subprocess.PIPE):
+    return subprocess.run([sys.executable, "-m", "fano3.cli", *argv], env=PROCESS_ENV, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_process_writes_the_golden_samples(name):
+    done = _process(GOLDEN_COMMANDS[name])
+    assert (done.returncode, done.stdout, done.stderr) == (0, (SAMPLES / name).read_text(), "")
+
+
+def test_process_usage_error_exits_two():
+    done = _process(["rr", "--dim", "3", "--index", "1", "--genus", "1"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("fano3 rr: error:")
+
+
+def test_process_matches_main_on_the_trigonal_payload():
+    done = _process(TRIGONAL_100)
+    assert (done.returncode, done.stdout) == run(TRIGONAL_100)
+    assert len(done.stdout) == 658990
+
+
+@pytest.mark.parametrize("argv", [GOLDEN_COMMANDS["rr.json"], TRIGONAL_100], ids=["at-flush", "at-write"])
+def test_process_with_a_broken_pipe_exits_one_silently(argv):
+    # the read end is closed before the process starts: the 217-byte rr
+    # payload fails at run's flush, the 659 kB trigonal one at main's write
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _process(argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
+def test_process_with_stdout_closed_exits_one_silently():
+    command = [sys.executable, "-m", "fano3.cli", *GOLDEN_COMMANDS["rr.json"]]
+    done = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *command], env=PROCESS_ENV, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", "")
+
+
+def test_installed_script_is_the_process_entry():
+    assert re.search(r'^fano3 = "fano3\.cli:run"$', (ROOT / "pyproject.toml").read_text(), re.M)
