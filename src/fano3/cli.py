@@ -1,7 +1,9 @@
 """Command-line front end.  Tables are for humans; --json is the contract.
 
 Exit codes: 0 success, 2 usage error, 3 catalog verification failure; the
-process entry `run` adds 1, stdout closed.
+process entry `run` adds 1, stdout closed.  A usage error is printed once,
+by argparse, to stderr; a stderr that is closed or refuses the write loses
+the message, and the exit is 2 with nothing on stdout all the same.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import re
@@ -441,18 +444,24 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
+    parser = build_parser()
+    # parser.exit prints every usage error, to sys.stderr, and skips a stream
+    # that refuses the write; with no sys.stderr at all argparse would print
+    # its usage line to stdout, so a sink stands in
     try:
-        with contextlib.redirect_stdout(out or sys.stdout):  # argparse prints --help there
-            args = build_parser().parse_args(argv)
+        with (
+            contextlib.redirect_stdout(out or sys.stdout),
+            contextlib.redirect_stderr(sys.stderr or io.StringIO()),
+        ):
+            args = parser.parse_args(argv)
+            try:
+                payload, table, *code = COMMANDS[args.command](args)
+                # rendered before anything is written: Python prints no int over 4300 digits
+                text = dumps(payload) if args.json else table + "\n"
+            except ValueError as exc:
+                parser.exit(2, f"fano3 {args.command}: error: {exc}\n")
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        payload, table, *code = COMMANDS[args.command](args)
-        # rendered before anything is written: Python prints no int over 4300 digits
-        text = dumps(payload) if args.json else table + "\n"
-    except ValueError as exc:
-        print(f"fano3 {args.command}: error: {exc}", file=sys.stderr)
-        return 2
     (out or sys.stdout).write(text)
     return code[0] if code else 0
 
@@ -462,17 +471,20 @@ def run(argv: Optional[Sequence[str]] = None) -> NoReturn:
     stdout and stderr, then os._exit, which skips the interpreter's teardown
     of its modules.  A stdout that cannot take the output, closed (`>&-`) or
     a broken pipe, ends the process with 1 and nothing on stderr; os._exit
-    leaves no shutdown flush to raise the error again.  An exception that
-    escapes main is a bug and propagates as it would without run."""
+    leaves no shutdown flush to raise the error again.  A stderr that cannot
+    take a message keeps the exit code: the message is lost, as argparse
+    loses it.  An exception that escapes main is a bug and propagates as it
+    would without run."""
     code = 1
     try:
         if sys.stdout is not None:
             code = main(argv)
             sys.stdout.flush()
-        if sys.stderr is not None:
-            sys.stderr.flush()
     except BrokenPipeError:
         code = 1
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):  # it still holds the bytes it refused
+            sys.stderr.flush()
     os._exit(code)
 
 

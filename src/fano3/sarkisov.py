@@ -368,7 +368,7 @@ def enumerate_links(
     the tests compare the solve against."""
     if center not in CENTER_DATA:
         raise ValueError(f"center must be one of line, conic, point, got {center!r}")
-    if search_bound:  # checked only where a box is asked for, off the default path
+    if type(search_bound) is not int or search_bound:  # every value but the default, an exact int 0
         search_bound = as_int(search_bound, "search_bound")
         if search_bound < 0:
             raise ValueError(f"search_bound must be >= 0, got {search_bound}")

@@ -480,6 +480,32 @@ def test_errors_go_to_stderr(argv, message, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+USAGE_ERRORS = {
+    "handler": ["link", "--center", "line", "--genus", "1"],
+    "usage": ["link", "--center", "line", "--bogus"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_without_stderr_writes_nothing(argv, capsys, monkeypatch):
+    # the message is lost, but neither the usage line nor the message falls
+    # back to out or to stdout
+    monkeypatch.setattr(sys, "stderr", None)
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().out == ""
+
+
+class _RefusingStream(io.StringIO):
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_with_a_refusing_stderr_exits_two(argv):
+    with contextlib.redirect_stderr(_RefusingStream()):
+        assert run(argv) == (2, "")
+
+
 def test_dumps_rejects_unknown_objects():
     with pytest.raises(TypeError, match="cannot serialize object"):
         dumps(object())
@@ -635,6 +661,24 @@ def test_bad_input_is_a_plain_value_error(path):
     assert _error_type_departures(path) == []
 
 
+def _stderr_printers(path):
+    """Calls that write to sys.stderr by hand, print(..., file=sys.stderr) and
+    sys.stderr.write: a usage error has one printer, argparse's parser.exit."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = ast.unparse(node.func)
+            to_stderr = any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords)
+            if func == "sys.stderr.write" or (func == "print" and to_stderr):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "fano3").glob("*.py")), ids=lambda p: p.name)
+def test_no_stderr_printer_of_its_own(path):
+    assert _stderr_printers(path) == []
+
+
 # src names that only tests read: each is the independent route a test
 # checks a src result against
 REFERENCES = {
@@ -717,6 +761,18 @@ def test_process_with_stdout_closed_exits_one_silently():
     command = [sys.executable, "-m", "fano3.cli", *GOLDEN_COMMANDS["rr.json"]]
     done = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *command], env=PROCESS_ENV, capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (1, "", "")
+
+
+# sys.executable itself runs under the shell, so no launcher can reopen fd 2
+STDERR_UNUSABLE = {"closed": '"$@" 2>&-', "read-only": 'exec 2</dev/null; "$@"'}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+@pytest.mark.parametrize("script", STDERR_UNUSABLE.values(), ids=STDERR_UNUSABLE.keys())
+def test_process_usage_error_without_a_usable_stderr_exits_two(script, argv):
+    command = [sys.executable, "-m", "fano3.cli", *argv]
+    done = subprocess.run(["sh", "-c", script, "sh", *command], env=PROCESS_ENV, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
 
 
 def test_installed_script_is_the_process_entry():

@@ -430,7 +430,7 @@ def test_filter_links_of_nothing_reads_no_facts(monkeypatch):
     assert filter_links([]) == []
 
 
-def test_enumerate_links_rejects_bad_arguments():
+def test_enumerate_links_rejects_bad_arguments(monkeypatch):
     for g in (1, 0, -3):
         with pytest.raises(ValueError, match=f"genus must be >= 2, got {g}"):
             enumerate_links("line", [g, 7])
@@ -455,6 +455,17 @@ def test_enumerate_links_rejects_bad_arguments():
     with pytest.raises(ValueError, match="bound must be an integer, got 7.5"):
         rho2_primitive_enumerate(7.5)
     assert rho2_primitive_enumerate(8.0) == rho2_primitive_enumerate(8)
+    # a falsy search_bound is checked too: none of these is the default path
+    for bound, shown in ((None, "None"), ("", "''"), ([], r"\[\]")):
+        with pytest.raises(ValueError, match=f"search_bound must be an integer, got {shown}$"):
+            enumerate_links("line", [7], search_bound=bound)
+    # every integer 0 is: its cells get the int 0, and the genus above the cap is clipped
+    cells = []
+    cell = sarkisov._enumerate_cell
+    monkeypatch.setattr(sarkisov, "_enumerate_cell", lambda c, g, b: cells.append((g, b, type(b))) or cell(c, g, b))
+    for bound in (0, 0.0, False):
+        enumerate_links("line", [7, 10**12], search_bound=bound)
+    assert cells == [(7, 0, int)] * 3
 
 
 def test_solved_trials_cover_every_box_point():
