@@ -1,15 +1,16 @@
 """Command-line front end.  Tables are for humans; --json is the contract.
 
-Exit codes: 0 success, 2 usage error, 3 catalog verification failure; the
-process entry `run` adds 1, stdout closed.  A usage error is printed once,
-by argparse, to stderr; a stderr that is closed or refuses the write loses
-the message, and the exit is 2 with nothing on stdout all the same.
+Exit codes: 0 success, 1 a stdout that cannot take the output, 2 usage
+error, 3 catalog verification failure.  A usage error is printed once, by
+argparse, to stderr; a stderr that is closed or refuses the write loses the
+message, and the exit is 2 with nothing on stdout all the same.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import io
 import json
@@ -444,13 +445,13 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    parser = build_parser()
+    parser, out = build_parser(), out or sys.stdout
     # parser.exit prints every usage error, to sys.stderr, and skips a stream
     # that refuses the write; with no sys.stderr at all argparse would print
     # its usage line to stdout, so a sink stands in
     try:
         with (
-            contextlib.redirect_stdout(out or sys.stdout),
+            contextlib.redirect_stdout(out),
             contextlib.redirect_stderr(sys.stderr or io.StringIO()),
         ):
             args = parser.parse_args(argv)
@@ -460,28 +461,28 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
                 text = dumps(payload) if args.json else table + "\n"
             except ValueError as exc:
                 parser.exit(2, f"fano3 {args.command}: error: {exc}\n")
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    (out or sys.stdout).write(text)
+    except SystemExit as exc:  # --help's text waits in out's buffer
+        code, text = [int(exc.code or 0)], ""
+    try:
+        out.write(text)
+        out.flush()
+    except OSError as exc:  # EBADF: stdout closed or open read-only; EPIPE: no reader
+        if exc.errno not in (errno.EBADF, errno.EPIPE):
+            raise
+        return 1
     return code[0] if code else 0
 
 
 def run(argv: Optional[Sequence[str]] = None) -> NoReturn:
-    """The process entry (`fano3`, `python -m fano3.cli`): main, a flush of
-    stdout and stderr, then os._exit, which skips the interpreter's teardown
-    of its modules.  A stdout that cannot take the output, closed (`>&-`) or
-    a broken pipe, ends the process with 1 and nothing on stderr; os._exit
-    leaves no shutdown flush to raise the error again.  A stderr that cannot
-    take a message keeps the exit code: the message is lost, as argparse
-    loses it.  An exception that escapes main is a bug and propagates as it
-    would without run."""
-    code = 1
-    try:
-        if sys.stdout is not None:
-            code = main(argv)
-            sys.stdout.flush()
-    except BrokenPipeError:
-        code = 1
+    """The process entry (`fano3`, `python -m fano3.cli`): main, which writes
+    and flushes stdout, a flush of stderr, then os._exit, which skips the
+    interpreter's teardown of its modules.  A stdout that cannot take the
+    output, closed (`>&-`), open read-only or a broken pipe, ends the process
+    with 1 and nothing on stderr; os._exit leaves no shutdown flush to raise
+    the error again.  A stderr that cannot take a message keeps the exit
+    code: the message is lost, as argparse loses it.  Any other exception
+    that escapes main is a bug and propagates as it would without run."""
+    code = 1 if sys.stdout is None else main(argv)
     if sys.stderr is not None:
         with contextlib.suppress(OSError):  # it still holds the bytes it refused
             sys.stderr.flush()

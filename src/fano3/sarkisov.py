@@ -266,6 +266,7 @@ def _b1_candidates(
                 continue
             a_f = iota * a_m - 1
             iota_d = k3 * a_m * a_m - 2 * a_m * ke + kee  # Mbar^2.(-K) = iota*d(Y)
+            # equivalent-mutant: iota_d = 0 gives d = 0, which the d(Y) guards drop at every index
             if iota_d <= 0 or iota_d % iota:
                 continue
             d = iota_d // iota
@@ -373,6 +374,7 @@ def enumerate_links(
         if search_bound < 0:
             raise ValueError(f"search_bound must be >= 0, got {search_bound}")
     if isinstance(g_range, range):  # ascending, a range is sorted without repeats: never listed
+        # equivalent-mutant: a range never has step 0
         genera = g_range if g_range.step > 0 else g_range[::-1]
     else:
         genera = sorted({as_int(g, "genus") for g in g_range})
@@ -482,8 +484,9 @@ def rho2_primitive_enumerate(bound: int = 8) -> list[Rho2Solution]:
 
 
 def _rho2_trials(d: int, s: int) -> list[tuple[int, int, int]]:
-    """Every (i, j, q2) with (a, b) = (i/s, j/s) that can pass _rho2_trial.
-    j runs up to the cap on b below; i is solved from j."""
+    """Every (i, j, q2) with (a, b) = (i/s, j/s) that can pass _rho2_trial,
+    for j up to the cap on b below.  At each j, i is solved directly for each
+    ray type in the order of RAY_TYPE, and kept where it is a positive integer."""
     coef = 12 - d
     # The cap on b, for D = a(-K) - bM with (-K)^2.M = coef, (-K).M^2 = 2 and
     # M^3 = 0, and lin = (-K)^2.D:
@@ -498,18 +501,19 @@ def _rho2_trials(d: int, s: int) -> list[tuple[int, int, int]]:
     j_cap = max(24 * s // coef, 5 * s // 2)
     trials = []
     for j in range(1, j_cap + 1):
-        for q2 in RAY_TYPE:  # D = a(-K) - bM with (-K).D^2 = q2
-            if q2 == -2:
-                # kk = k3*a - coef*b with k3*a^2 from (-K).D^2 = -2 gives
-                # a*(coef*b - kk) = 2 + 2b^2 for each admitted kk
-                quotients = [(2 * s * s + 2 * j * j, coef * j - k * s) for k in RAY_TYPE[q2]]
-            else:
-                # k3*a^2 from (-K).D^2 = q2 substituted into D^3 = 0 leaves
-                # q2 - coef*a*b + 4b^2 = 0
-                quotients = [(q2 * s * s + 4 * j * j, coef * j)]
-            for num, den in quotients:  # i = num/den, where num > 0
-                if den > 0 and num % den == 0:
-                    trials.append((num // den, j, q2))
+        # q2 = 0, 2: k3*a^2 from (-K).D^2 = q2 substituted into D^3 = 0 leaves
+        # q2 - coef*a*b + 4b^2 = 0, so i = (q2*s^2 + 4j^2)/(coef*j)
+        den = coef * j  # > 0, as d <= 11
+        for q2 in (0, 2):
+            num = q2 * s * s + 4 * j * j
+            if not num % den:
+                trials.append((num // den, j, q2))
+        # q2 = -2: k = k3*a - coef*b with k3*a^2 from (-K).D^2 = -2 gives
+        # a*(coef*b - k) = 2 + 2b^2, so i = (2s^2 + 2j^2)/(coef*j - k*s)
+        num = 2 * s * s + 2 * j * j
+        for k in RAY_TYPE[-2]:
+            if den > k * s and not num % (den - k * s):
+                trials.append((num // (den - k * s), j, -2))
     return trials
 
 
@@ -518,6 +522,9 @@ def _rho2_trial(d: int, s: int, i: int, j: int, q2: int) -> Optional[Rho2Solutio
     for discriminant degree d, or None."""
     coef = 12 - d
     k3, rem = divmod(q2 * s * s + 2 * coef * i * j - 2 * j * j, i * i)
+    # no k3 = 2 passes the checks below, so k3 <= 2 would drop no more: D^3 = 0
+    # needs 9*coef^2 - 48 to be a square, and D^3 = 4/k leaves
+    # 2a^3 - 3k*a^2 - 6a = 4/k, which has no rational root for k = 1, 2, 4
     if rem or k3 < 2 or k3 % 2:
         return None
     lin, rem = divmod(k3 * i - coef * j, s)  # (-K)^2.D

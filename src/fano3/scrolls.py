@@ -61,29 +61,6 @@ def scroll_canonical(s: ScrollData) -> DivisorClass:
     return cls2(Basis.MF, -s.rank, s.degree - 2)
 
 
-def _splittings(total: int, parts: int) -> list[tuple[int, ...]]:
-    """Descending positive splittings of `total` into `parts` >= 2 parts."""
-    # Grow every prefix by one part per round, largest first, carrying what
-    # is left of the total.  With `slots` parts still to place out of
-    # `budget`, the next part is at most the previous one and at least
-    # ceil(budget / slots).  The last two come out together as
-    # (x, budget - x) with ceil(budget / 2) <= x <= min(previous, budget - 1).
-    rows: list[tuple[tuple[int, ...], int]] = [((), total)]
-    for slots in range(parts, 2, -1):
-        rows = [
-            (row + (first,), budget - first)
-            for row, budget in rows
-            for first in range(
-                min(row[-1] if row else total, budget - (slots - 1)), -(-budget // slots) - 1, -1
-            )
-        ]
-    return [
-        row + (x, budget - x)
-        for row, budget in rows
-        for x in range(min(row[-1] if row else total, budget - 1), -(-budget // 2) - 1, -1)
-    ]
-
-
 class HyperellipticCandidate(NamedTuple):
     scroll: ScrollData
     branch_class: DivisorClass
@@ -103,11 +80,19 @@ def hyperelliptic_candidates(g: int) -> list[HyperellipticCandidate]:
     # Fraction, not int: bench/ digests these coordinates as they stand and
     # pins the Fraction form (cli wraps each one in Fraction itself).
     branch = cls2(Basis.MF, Fraction(4), Fraction(2 * (3 - g)))
-    # The rows are built by tuple.__new__, which skips ScrollData's checks:
-    # _splittings only yields descending tuples of positive parts of the
-    # requested length.  zip(xs) yields the 1-tuples (x,).
+    # d_1 >= d_2 >= d_3 >= 1, part by part: with `rest` left for `slots` parts,
+    # ceil(rest/slots) <= d_k <= min(d_(k-1), rest - slots + 1).  The rows skip
+    # ScrollData's checks (tuple.__new__), as every splitting is descending and
+    # positive by construction.  zip(xs) yields the 1-tuples (x,).
+    total = g - 1
+    splittings = [
+        (d1, d2, rest - d2)
+        for d1 in range(total - 2, -(-total // 3) - 1, -1)
+        for rest in (total - d1,)
+        for d2 in range(min(d1, rest - 1), -(-rest // 2) - 1, -1)
+    ]
     new = tuple.__new__
-    scrolls = map(new, repeat(ScrollData), zip(_splittings(g - 1, 3)))
+    scrolls = map(new, repeat(ScrollData), zip(splittings))
     return list(map(new, repeat(HyperellipticCandidate), zip(scrolls, repeat(branch), repeat(None))))
 
 
@@ -144,13 +129,17 @@ def trigonal_candidates(g: int) -> list[TrigonalCandidate]:
     # first negative value is at k0, and it exists exactly when d_1 >= k0.
     k0 = (2 * total - 4) // 3 + 1
     witness = Fraction(2 * total - 3 * k0 - 4)  # Fraction for bench/, as the branch class
-    # built by tuple.__new__ as in hyperelliptic_candidates: every field after
-    # the scroll is one of two row tails
+    # d_1 >= ... >= d_4 >= 1 as in hyperelliptic_candidates.  Each `for x in
+    # (e,)` binds x once, and the witness fields depend on d_1 alone.
     new = tuple.__new__
-    kept, excluded = (member, None, None, None), (member, witness, k0, None)
     return [
-        new(TrigonalCandidate, (new(ScrollData, (sp,)),) + (excluded if sp[0] >= k0 else kept))
-        for sp in _splittings(total, 4)
+        new(TrigonalCandidate, (new(ScrollData, ((d1, d2, d3, rest3 - d3),)), member, w, k, None))
+        for d1 in range(total - 3, -(-total // 4) - 1, -1)
+        for w, k in ((witness, k0) if d1 >= k0 else (None, None),)
+        for rest2 in (total - d1,)
+        for d2 in range(min(d1, rest2 - 2), -(-rest2 // 3) - 1, -1)
+        for rest3 in (rest2 - d2,)
+        for d3 in range(min(d2, rest3 - 1), -(-rest3 // 2) - 1, -1)
     ]
 
 

@@ -2,6 +2,7 @@ import ast
 import builtins
 import collections
 import contextlib
+import errno
 import io
 import json
 import os
@@ -738,6 +739,12 @@ def test_process_usage_error_exits_two():
     assert done.stderr.startswith("fano3 rr: error:")
 
 
+def test_process_help_reaches_a_block_buffered_stdout():
+    done = _process(["rr", "--help"])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: fano3 rr")
+
+
 def test_process_matches_main_on_the_trigonal_payload():
     done = _process(TRIGONAL_100)
     assert (done.returncode, done.stdout) == run(TRIGONAL_100)
@@ -761,6 +768,48 @@ def test_process_with_stdout_closed_exits_one_silently():
     command = [sys.executable, "-m", "fano3.cli", *GOLDEN_COMMANDS["rr.json"]]
     done = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *command], env=PROCESS_ENV, capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (1, "", "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["at-flush", "at-write"])
+def test_process_with_stdout_read_only_exits_one_silently(unbuffered):
+    # a descriptor open for reading refuses the output with EBADF, at main's
+    # flush of block-buffered stdout, or at its write under PYTHONUNBUFFERED
+    env = {**PROCESS_ENV, "PYTHONUNBUFFERED": "1"} if unbuffered else PROCESS_ENV
+    command = [sys.executable, "-m", "fano3.cli", *GOLDEN_COMMANDS["rr.json"]]
+    done = subprocess.run(["sh", "-c", 'exec 1</dev/null; "$@"', "sh", *command], env=env, capture_output=True,
+                          text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", "")
+
+
+class _RefusingOut(io.StringIO):
+    def __init__(self, code):
+        super().__init__()
+        self.code = code
+
+    def write(self, text):
+        raise OSError(self.code, os.strerror(self.code))
+
+
+def test_main_returns_one_only_for_a_stdout_that_refuses_the_output():
+    argv = GOLDEN_COMMANDS["rr.json"]
+    assert main(argv, out=_RefusingOut(errno.EBADF)) == 1
+    assert main(argv, out=_RefusingOut(errno.EPIPE)) == 1
+    with pytest.raises(OSError) as info:  # a full disk is a fault, not a refusal
+        main(argv, out=_RefusingOut(errno.ENOSPC))
+    assert info.value.errno == errno.ENOSPC
+
+
+@pytest.mark.parametrize("code", [errno.EBADF, errno.ENOENT])
+def test_an_os_error_inside_a_handler_propagates(code, monkeypatch):
+    # such as a missing classification.json: only main's write and flush read
+    # EBADF and EPIPE as a stdout that cannot take the output
+    def failing(args):
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setitem(COMMANDS, "rr", failing)
+    with pytest.raises(OSError) as info:
+        main(GOLDEN_COMMANDS["rr.json"], out=io.StringIO())
+    assert info.value.errno == code
 
 
 # sys.executable itself runs under the shell, so no launcher can reopen fd 2

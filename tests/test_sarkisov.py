@@ -2,6 +2,8 @@ import collections
 import io
 import json
 import math
+import operator
+import sys
 import time
 from fractions import Fraction
 
@@ -579,6 +581,24 @@ def test_ray_guard_drops_its_trial(center, g, vals, trial):
     assert list(_ray_candidates(center, g, vals, g - 5, [trial])) == []
 
 
+# Synthetic (vals, trial, field, value) on the boundary of a guard of
+# _ray_candidates, which the guard must pass: each trial comes out as the one
+# candidate, with field at the boundary value.  Trials as in RAY_GUARDS.
+RAY_BOUNDARIES = {
+    # B3/B4 (q2 = -2, lin = 2) with b = 4: iota = b*lin/(2*mu) = 4, the top of
+    # 1..4, with a_m = 1 and (-K_Y)^3 = 62 + 2 = 64, as on P^3
+    "iota-range": ((62, 46, 34, 25), (3, 4), "target.iota_y", 4),
+    # C1 (q2 = 2, lin = 2): Ebar^3 = 1 = E^3
+    "defect": ((1, -1, -1, 1), (1, 1), "defect", 0),
+}
+
+
+@pytest.mark.parametrize("vals,trial,field,value", RAY_BOUNDARIES.values(), ids=RAY_BOUNDARIES)
+def test_ray_guard_passes_its_boundary(vals, trial, field, value):
+    cands = list(_ray_candidates("line", 2, vals, -3, [trial]))
+    assert [operator.attrgetter(field)(c) for c in cands] == [value]
+
+
 # Synthetic (vals, h0, {iota: [a_m]}), one per guard of _b1_candidates in its
 # order, that the guard drops though every other guard passes: without the
 # guard the trial comes out as a candidate.  Here a_f = iota*a_m - 1 and
@@ -606,6 +626,21 @@ B1_GUARDS = {
 @pytest.mark.parametrize("vals,h0,trials", B1_GUARDS.values(), ids=B1_GUARDS)
 def test_b1_guard_drops_its_trial(vals, h0, trials):
     assert list(_b1_candidates("line", 2, vals, h0, trials)) == []
+
+
+# Synthetic (vals, h0, trials, field, value) on the boundary of a guard of
+# _b1_candidates, as RAY_BOUNDARIES is for _ray_candidates
+B1_BOUNDARIES = {
+    # a_m = 2, a_f = 1: d(Y) = Mbar^2.(-K) = 8 - 12 + 6 = 2, the least even
+    # degree on index 1, with deg Z = 1, g(Z) = 2 and Ebar^3 = 14 = E^3
+    "index-one-degree": ((2, 3, 6, 14), -3, {1: [2]}, "target.degree_y", 2),
+}
+
+
+@pytest.mark.parametrize("vals,h0,trials,field,value", B1_BOUNDARIES.values(), ids=B1_BOUNDARIES)
+def test_b1_guard_passes_its_boundary(vals, h0, trials, field, value):
+    cands = list(_b1_candidates("line", 2, vals, h0, trials))
+    assert [operator.attrgetter(field)(c) for c in cands] == [value]
 
 
 def test_b1_effectivity_is_tested_before_any_arithmetic_on_the_cell():
@@ -817,6 +852,31 @@ def test_rho2_solve_matches_grid_scan(bound):
     assert sols == _rho2_grid_scan(bound)
 
 
+def _rho2_trials_reference(d, s):
+    # the trials as listed before the direct per-(j, type) solve: a list of
+    # (num, den) quotients for every (j, q2), where i = num/den
+    coef = 12 - d
+    trials = []
+    for j in range(1, max(24 * s // coef, 5 * s // 2) + 1):
+        for q2 in RAY_TYPE:
+            if q2 == -2:
+                quotients = [(2 * s * s + 2 * j * j, coef * j - k * s) for k in RAY_TYPE[q2]]
+            else:
+                quotients = [(q2 * s * s + 4 * j * j, coef * j)]
+            for num, den in quotients:
+                if den > 0 and num % den == 0:
+                    trials.append((num // den, j, q2))
+    return trials
+
+
+def test_rho2_trials_match_the_per_quotient_reference():
+    # the same ordered list on every d, on both grids (the enumerator uses
+    # s = 2 at d = 0 alone, and skips d = 1, 2)
+    for d in range(12):
+        for s in (1, 2):
+            assert _rho2_trials(d, s) == _rho2_trials_reference(d, s), (d, s)
+
+
 def test_rho2_trials_cover_every_rational_solution():
     # trial-level oracle: the cap on b uses the three equations of a ray and
     # not that (-K)^3 is an integer, so every point of the box j < 50 (twice
@@ -834,6 +894,23 @@ def test_rho2_trials_cover_every_rational_solution():
                         continue
                     if q * i - 3 * coef * i * i * j + 6 * i * j * j == s**3 * _ray_cube(q2, lin):
                         assert (i, j, q2) in trials, (d, i, j, q2)
+
+
+def test_rho2_has_no_solution_with_anticanonical_cube_two(monkeypatch):
+    # the argument next to the k3 guard of _rho2_trial, run through the
+    # function at every discriminant degree on a box of grid points: the
+    # wrapped _ray_cube records the k3 of each trial that reaches the D^3 check
+    reached = []
+
+    def ray_cube(q2, lin):
+        reached.append(sys._getframe(1).f_locals["k3"])
+        return _ray_cube(q2, lin)
+
+    monkeypatch.setattr(sarkisov, "_ray_cube", ray_cube)
+    box = range(1, 31)
+    sols = [_rho2_trial(d, s, i, j, q2) for d in range(12) for s in (1, 2) for i in box for j in box for q2 in RAY_TYPE]
+    assert 2 in reached
+    assert all(sol is None or sol.antik_cube != 2 for sol in sols)
 
 
 def test_rho2_matches_catalog_primitive_entries():

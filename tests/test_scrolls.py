@@ -13,7 +13,6 @@ from fano3.scrolls import (
     HyperellipticCandidate,
     ScrollData,
     TrigonalCandidate,
-    _splittings,
     hyperelliptic_candidates,
     mark_realized,
     scroll_canonical,
@@ -103,20 +102,6 @@ def _splittings_recursive(total, parts):
                 yield (first, *rest)
 
     return list(rec(total, parts, total))
-
-
-def test_splittings_match_recursive_reference():
-    for parts in range(2, 6):
-        for total in range(70):
-            assert _splittings(total, parts) == _splittings_recursive(total, parts), (parts, total)
-
-
-def test_splittings_pass_the_validating_constructor():
-    # the case lists skip ScrollData's checks; it would neither change nor reject a row
-    for parts in range(2, 6):
-        for total in range(70):
-            for row in _splittings(total, parts):
-                assert ScrollData(row).splitting == row, row
 
 
 def _hyperelliptic_oracle(g):
