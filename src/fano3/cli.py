@@ -22,20 +22,15 @@ from types import MappingProxyType
 from typing import Any, NoReturn, Optional, Sequence
 
 
-# the leaves that pass as they are, by exact type: the containers test a value
-# against this before they make a call for it
-_PLAIN = frozenset((int, str, bool, type(None)))
-
-
 def _jsonable(obj: Any) -> Any:
     # the classes are disjoint, so the order only sets the cost: the Fraction
     # test goes through ABCMeta.__instancecheck__ and comes last
-    if type(obj) in _PLAIN or isinstance(obj, (bool, int, str)):  # a str enum too
+    if isinstance(obj, (int, str)) or obj is None:  # a bool and a str enum too
         return obj
     if isinstance(obj, (dict, MappingProxyType)):  # the catalog's objects are proxies
-        return {str(k): v if type(v) in _PLAIN else _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if type(obj) in (list, tuple):  # not a record, though every record is a tuple
-        return [v if type(v) in _PLAIN else _jsonable(v) for v in obj]
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
         return {"num": str(obj.numerator), "den": str(obj.denominator)}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -168,7 +163,7 @@ def _cmd_scroll(args) -> tuple[Any, str]:
     if args.canonical:
         k = scrolls.scroll_canonical(s)
         canonical = [Fraction(v) for v in k.coords]
-        return {"splitting": splitting, "canonical": canonical}, f"K = {k.coords[0]} M + {k.coords[1]} F"
+        return {"splitting": splitting, "canonical": canonical}, f"K = {k.coords[0]}M{k.coords[1]:+d}F"
     value = scrolls.scroll_intersection(s, args.intersect)
     return {"splitting": splitting, "value": Fraction(value)}, str(value)
 
@@ -473,7 +468,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     return code[0] if code else 0
 
 
-def run(argv: Optional[Sequence[str]] = None) -> NoReturn:
+def run() -> NoReturn:
     """The process entry (`fano3`, `python -m fano3.cli`): main, which writes
     and flushes stdout, a flush of stderr, then os._exit, which skips the
     interpreter's teardown of its modules.  A stdout that cannot take the
@@ -482,7 +477,7 @@ def run(argv: Optional[Sequence[str]] = None) -> NoReturn:
     the error again.  A stderr that cannot take a message keeps the exit
     code: the message is lost, as argparse loses it.  Any other exception
     that escapes main is a bug and propagates as it would without run."""
-    code = 1 if sys.stdout is None else main(argv)
+    code = 1 if sys.stdout is None else main()
     if sys.stderr is not None:
         with contextlib.suppress(OSError):  # it still holds the bytes it refused
             sys.stderr.flush()

@@ -59,9 +59,9 @@ POINT_SINGULARITY = {
 #   b >= 1 gives k3*(2 + q2) <= lin^2 - ke^2.
 # - B2..B5 (q2 = -2 and lin <= 4 < 2*ke): the same identity leaves b = 1 and
 #   lin = ke, and a = 2*ke/k3 then gives k3 <= 2*ke.
-# - B1 onto iota >= 2: k3*a^2 = 2*ke*a + 2 + iota*d (the iota_d guard of
-#   _b1_candidates) with a >= 1 and iota*d <= 10 (B1_DEGREES) gives
-#   k3 <= 2*ke + 12.
+# - B1 onto iota >= 2: k3*a^2 = 2*ke*a + 2 + iota*d (Mbar^2.(-K) = iota*d(Y)
+#   in _b1_candidates) with a >= 1 and iota*d <= 10 (the d(Y) guards of
+#   _b1_candidates, B1_DEGREES) gives k3 <= 2*ke + 12.
 # - B1 onto iota = 1: the effectivity guard of _b1_candidates drops all once h0 >= 2.
 # So k3 <= 36 on the line and 32 on the conic and the point: g <= 21, 20, 21.
 GENUS_CAP = 21
@@ -266,8 +266,7 @@ def _b1_candidates(
                 continue
             a_f = iota * a_m - 1
             iota_d = k3 * a_m * a_m - 2 * a_m * ke + kee  # Mbar^2.(-K) = iota*d(Y)
-            # equivalent-mutant: iota_d = 0 gives d = 0, which the d(Y) guards drop at every index
-            if iota_d <= 0 or iota_d % iota:
+            if iota_d % iota:
                 continue
             d = iota_d // iota
             if iota == 1:
@@ -369,10 +368,9 @@ def enumerate_links(
     the tests compare the solve against."""
     if center not in CENTER_DATA:
         raise ValueError(f"center must be one of line, conic, point, got {center!r}")
-    if type(search_bound) is not int or search_bound:  # every value but the default, an exact int 0
-        search_bound = as_int(search_bound, "search_bound")
-        if search_bound < 0:
-            raise ValueError(f"search_bound must be >= 0, got {search_bound}")
+    search_bound = as_int(search_bound, "search_bound")
+    if search_bound < 0:
+        raise ValueError(f"search_bound must be >= 0, got {search_bound}")
     if isinstance(g_range, range):  # ascending, a range is sorted without repeats: never listed
         # equivalent-mutant: a range never has step 0
         genera = g_range if g_range.step > 0 else g_range[::-1]

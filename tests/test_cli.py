@@ -21,9 +21,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fano3.cli import COMMANDS, build_parser, dumps, main
-from fano3.exactcore import Basis
-from fano3.scrolls import ScrollData
+from fano3.cli import COMMANDS, build_parser, dumps, main, parse_mf_class
+from fano3.exactcore import Basis, cls2
+from fano3.scrolls import ScrollData, scroll_canonical
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "docs" / "samples"
@@ -206,30 +206,47 @@ def test_catalog_list_payload_cannot_change_the_catalog():
     assert not any("tampered" in (e.construction or {}) for e in catalog.load().entries)
 
 
-def test_scroll_payload_wraps_the_witness(monkeypatch):
-    # the payload declares the witness rational, whatever type the library gives
+@pytest.mark.parametrize(
+    "kind,genus,wrapped,to_int",
+    [
+        ("trigonal", 10, '"witness":{"den":"1","num":"-3"}',
+         lambda c: c if c.witness is None else c._replace(witness=int(c.witness))),
+        ("hyperelliptic", 7, '"branch":[{"den":"1","num":"4"},{"den":"1","num":"-8"}]',
+         lambda c: c._replace(branch_class=cls2(Basis.MF, *map(int, c.branch_class.coords)))),
+    ],
+    ids=["trigonal", "hyperelliptic"],
+)
+def test_scroll_payload_wraps_the_witness(monkeypatch, kind, genus, wrapped, to_int):
+    # the payload declares the witness and the branch class rational, whatever
+    # type the library gives
     from fano3 import scrolls
 
-    argv = ["scroll", "--trigonal", "10", "--json"]
+    argv = ["scroll", f"--{kind}", str(genus), "--json"]
     want = run(argv)
-    assert '"witness":{"den":"1","num":"-3"}' in want[1]
-    build = scrolls.trigonal_candidates
-    monkeypatch.setattr(
-        scrolls, "trigonal_candidates",
-        lambda g: [c if c.witness is None else c._replace(witness=int(c.witness)) for c in build(g)],
-    )
+    assert wrapped in want[1]
+    build = getattr(scrolls, f"{kind}_candidates")
+    monkeypatch.setattr(scrolls, f"{kind}_candidates", lambda g: [to_int(c) for c in build(g)])
     assert run(argv) == want
+
+
+@pytest.mark.parametrize("weights", [(0, 0), (1, 1), (2, 1, 1), (3, 2, 1), (2, 2, 1, 1), (5, 1, 1, 1, 1)])
+def test_canonical_table_reads_back_with_intersect_syntax(weights):
+    # the table prints K in the syntax --intersect reads
+    code, text = run(["scroll", "--weights", ",".join(map(str, weights)), "--canonical"])
+    assert code == 0 and text.startswith("K = ") and text.endswith("\n")
+    assert parse_mf_class(text[4:-1]) == scroll_canonical(ScrollData(weights))
 
 
 @pytest.mark.parametrize(
     "argv,expected",
     [
         (["scroll", "--weights", "2,1,1", "--h0", "--json"], '{"h0":7,"splitting":[2,1,1]}\n'),
+        (["scroll", "--weights", "2,1,1", "--canonical"], "K = -3M+2F\n"),
         (["wps", "--weights", "1,1,1,1,3", "--degrees", "6"],
          "weights      [1, 1, 1, 1, 3]\nwell-formed  True\nnormalized   [1, 1, 1, 1, 3]\npic index    3\n"
          "dim          3\nindex        1\n(-K)^dim     2\ngenus        2\n"),
     ],
-    ids=["scroll-h0-json", "wps-genus-text"],
+    ids=["scroll-h0-json", "scroll-canonical-text", "wps-genus-text"],
 )
 def test_weights_mode_output(argv, expected):
     assert run(argv) == (0, expected)
@@ -556,35 +573,6 @@ def test_dumps_rejects(obj):
         dumps(obj)
 
 
-def _reference_jsonable(obj):
-    # the walker without the exact-type pass-through: one call per value
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
-    if isinstance(obj, (dict, MappingProxyType)):
-        return {str(k): _reference_jsonable(v) for k, v in obj.items()}
-    if type(obj) in (list, tuple):
-        return [_reference_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return {"num": str(obj.numerator), "den": str(obj.denominator)}
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def test_dumps_matches_the_reference_walker():
-    argvs = [
-        *GOLDEN_COMMANDS.values(),
-        *(["scroll", "--hyperelliptic", str(g)] for g in range(2, 101)),
-        *(["scroll", "--trigonal", str(g)] for g in (*range(5, 61), 100)),
-        *(["catalog", "list", "--rho", str(rho)] for rho in (1, 2, 3)),
-        ["catalog", "verify", "--all"],
-        *(["link", "--center", c, "--genus-range", "2..60", "--show-excluded"] for c in ("line", "conic", "point")),
-    ]
-    for argv in argvs:
-        args = build_parser().parse_args(argv)
-        payload = COMMANDS[args.command](args)[0]
-        expected = json.dumps(_reference_jsonable(payload), sort_keys=True, separators=(",", ":")) + "\n"
-        assert dumps(payload) == expected, argv
-
-
 def _loaded_modules(code):
     """The fano3 modules a fresh interpreter holds after running code, plus
     dataclasses, inspect and importlib.resources if loaded: records are
@@ -678,6 +666,45 @@ def _stderr_printers(path):
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "fano3").glob("*.py")), ids=lambda p: p.name)
 def test_no_stderr_printer_of_its_own(path):
     assert _stderr_printers(path) == []
+
+
+def _asserts(path):
+    """assert statements, which python -O strips: a runtime invariant raises."""
+    tree = ast.parse(path.read_text())
+    return [f"line {n.lineno}: {ast.unparse(n)}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "fano3").glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    assert _asserts(path) == []
+
+
+MUTATION_PROBE = runpy.run_path(str(ROOT / "scripts" / "mutation_probe.py"))
+
+
+def _stale_markers(path):
+    """The lines that an equivalent-mutant marker of scripts/mutation_probe.py
+    marks but where the probe flips no comparison.  A marker marks its own
+    line, or the first line below its block of comment lines."""
+    text = path.read_text()
+    lines = text.splitlines()
+    flipped = {line for line, _, _ in MUTATION_PROBE["mutants"](text.encode())}
+    stale = []
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT and MUTATION_PROBE["MARKER"] in tok.string:
+            line = tok.start[0]
+            while lines[line - 1].lstrip().startswith("#"):
+                line += 1
+            if line not in flipped:
+                stale.append(f"line {line}: {lines[line - 1].strip()}")
+    return stale
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "fano3").glob("*.py")), ids=lambda p: p.name)
+def test_every_equivalent_mutant_marker_marks_a_comparison(path):
+    # the probe reports a stale marker only when the tests kill its mutant, so
+    # one left over a line with no comparison would go unseen there
+    assert _stale_markers(path) == []
 
 
 # src names that only tests read: each is the independent route a test
