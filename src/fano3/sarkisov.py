@@ -313,13 +313,20 @@ def _b1_trials(vals: tuple[int, ...], iota: int) -> range:
 
 def _point_blowdown_box(vals: tuple[int, ...], bound: int) -> Iterable[tuple[int, int]]:
     """Every (a_f, b_f) in 1..bound on Fbar^2.(-K) = -2, b_f ascending per a_f:
-    kee*b^2 - 2a*ke*b + k3*a^2 + 2 = 0 solved for b inline, once per a_f of
-    every box cell.  The reduced discriminant is a^2*den - 2*kee (den as in
-    _ray_trials), and kee < 0 (see _ray_trials) makes b = (a*ke + root)/kee
-    the smaller root."""
+    kee*b^2 - 2a*ke*b + k3*a^2 + 2 = 0 solved for b inline.  The reduced
+    discriminant is a^2*den - 2*kee (den as in _ray_trials), and kee < 0 (see
+    _ray_trials) makes b = (a*ke + root)/kee the smaller root.  For k3 > 0 the
+    roots multiply to (k3*a^2 + 2)/kee < 0, and the positive one is at most
+    N = bound exactly when k3*a^2 - 2*ke*N*a + kee*N^2 + 2 <= 0, that is when
+    a <= (ke*N + sqrt(N^2*den - 2*k3))/k3: the scan ends at its floor, or
+    tests no a_f when the radicand is negative."""
     k3, ke, kee, _ = vals
     den = ke * ke - k3 * kee
-    for a_f in range(1, bound + 1):
+    top = bound
+    if k3 > 0:
+        rad = bound * bound * den - 2 * k3
+        top = min(bound, (ke * bound + math.isqrt(rad)) // k3) if rad >= 0 else 0
+    for a_f in range(1, top + 1):
         disc = a_f * a_f * den - 2 * kee
         if disc < 0:
             continue

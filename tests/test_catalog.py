@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from fano3 import catalog
 from fano3.blowup import CurveCenter, blowup_curve
+from fano3.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,28 @@ def test_degree_bounds(cat):
         if e.rho == 1:
             assert e.antik_cube <= 72
     assert max(e.antik_cube for e in cat.entries) == 64
+
+
+# (-K)^3 <= 72 on rho = 1 at its boundary: no catalog entry comes near it, as
+# the largest (-K)^3 is 64
+DEGREE_BOUNDARIES = {"cube-72-passes": (72, True), "cube-73-fails": (73, False)}
+
+
+@pytest.mark.parametrize("cube,passed", DEGREE_BOUNDARIES.values(), ids=DEGREE_BOUNDARIES)
+def test_degree_bound_rho1_at_its_boundary(cat, cube, passed):
+    results = {r.check: r for r in catalog.verify(cat.by_id("p3")._replace(antik_cube=cube))}
+    assert results["degree-bound-rho1"].passed is passed
+
+
+@pytest.mark.parametrize("genus", [12, 19])
+def test_genus_filter_returns_exactly_that_genus(cat, genus):
+    # genus 12 has three entries and genus 19 none; the library and the CLI agree
+    expected = [e.id for e in cat.entries if e.genus == genus]
+    assert len(expected) == {12: 3, 19: 0}[genus]
+    assert [e.id for e in cat.list(genus=genus)] == expected
+    out = io.StringIO()
+    assert main(["catalog", "list", "--genus", str(genus), "--json"], out=out) == 0
+    assert [row["id"] for row in json.loads(out.getvalue())] == expected
 
 
 def test_rho2_primitive_count(cat):

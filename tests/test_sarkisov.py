@@ -5,6 +5,7 @@ import math
 import operator
 import sys
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -728,14 +729,13 @@ def test_box_consumes_every_ray_trial(center, monkeypatch):
     assert deep_points == {"line": 3, "conic": 3, "point": 2}[center]
 
 
-def test_point_blowdown_box_matches_the_quadratic_formula():
-    # the inline solve of Fbar^2.(-K) = -2 for b_f yields the pairs, in order,
-    # that _integer_roots gives, on the synthetic grid of
-    # test_solved_trials_cover_every_box_point and on rows with k3 <= 0
-    box = 60
+def _box_pairs_match_the_quadratic_formula(box, kes):
+    """Compare _point_blowdown_box with _integer_roots on the rows (k3, ke, kee)
+    for k3 in -10..40, kee in -6..-1 and ke in kes; return the totals of
+    expected pairs, of second roots and of double roots."""
     pairs = two_roots = double_roots = 0
     for k3 in range(-10, 41):
-        for ke in (*range(-6, 0), *range(1, 7)):
+        for ke in kes:
             for kee in range(-6, 0):
                 vals = (k3, ke, kee, 0)
                 expected = [
@@ -744,13 +744,57 @@ def test_point_blowdown_box_matches_the_quadratic_formula():
                     for b_f in _integer_roots(kee, -2 * a_f * ke, k3 * a_f * a_f + 2)
                     if b_f <= box
                 ]
-                assert list(_point_blowdown_box(vals, box)) == expected, vals
+                assert list(_point_blowdown_box(vals, box)) == expected, (vals, box)
                 a_fs = [a_f for a_f, _ in expected]
                 pairs += len(a_fs)
                 two_roots += len(a_fs) - len(set(a_fs))
                 # a zero discriminant a_f^2*(ke^2 - k3*kee) - 2*kee needs k3 < 0
                 double_roots += sum(a_f * a_f * (ke * ke - k3 * kee) == 2 * kee for a_f in a_fs)
-    assert (pairs, two_roots, double_roots) == (965, 135, 11)
+    return pairs, two_roots, double_roots
+
+
+def test_point_blowdown_box_matches_the_quadratic_formula():
+    # the inline solve of Fbar^2.(-K) = -2 for b_f yields the pairs, in order,
+    # that _integer_roots gives, on the synthetic grid of
+    # test_solved_trials_cover_every_box_point and on rows with k3 <= 0
+    kes = (*range(-6, 0), *range(1, 7))
+    assert _box_pairs_match_the_quadratic_formula(60, kes) == (965, 135, 11)
+    # small boxes, ke = 0 among the rows: the scan's end is 0 where
+    # N^2*den < 2*k3, below N elsewhere, and N itself where a root b_f = N is
+    # double in a_f (k3 = ke = 1, kee = -1 at N = 1 gives (1, 1))
+    for box in (1, 2, 3, 4):
+        _box_pairs_match_the_quadratic_formula(box, range(-6, 7))
+
+
+def test_point_blowdown_box_stops_at_the_last_a_f_with_a_root_in_the_box(monkeypatch):
+    # on real cells (k3 > 0) the scan tests exactly the a_f in 1..N whose
+    # positive root b_f = (root - a_f*ke)/(-kee) of kee*b^2 - 2a*ke*b + k3*a^2
+    # + 2 = 0 is at most N, here compared with N without taking the root
+    tested = []
+
+    def isqrt(n):
+        tested.append(n)
+        return math.isqrt(n)
+
+    monkeypatch.setattr(sarkisov, "math", types.SimpleNamespace(isqrt=isqrt))
+    for center, g in (("line", 7), ("conic", 12), ("point", 13), ("line", 21)):
+        k3, ke, kee, _ = vals = midpoint_form(center, g).values
+        den = ke * ke - k3 * kee
+        for box in (1, 2, 5, 60, 1000):
+            tested.clear()
+            list(_point_blowdown_box(vals, box))
+            in_box = [
+                a_f
+                for a_f in range(1, box + 1)
+                # root <= N*(-kee) + a_f*ke, with root^2 the discriminant
+                if -kee * box + a_f * ke >= 0
+                and a_f * a_f * den - 2 * kee <= (-kee * box + a_f * ke) ** 2
+            ]
+            # one isqrt for the end of the scan, then one per a_f tested
+            end = [box * box * den - 2 * k3]
+            assert tested == end + [a_f * a_f * den - 2 * kee for a_f in in_box], (center, g, box)
+    # line g = 21 at N = 1000: (k3, ke) = (36, 3) puts the last root in the box at a_f = 333
+    assert in_box == list(range(1, 334))
 
 
 def test_m_cap_matches_its_definition_by_search():
