@@ -188,16 +188,17 @@ class LinkFactStore(NamedTuple):
     """Catalog-backed inputs for sarkisov.filter_links, with the rho = 1
     entries keyed by (index, (-K)^3): how a link knows the Fanos at its ends."""
 
-    chi: dict[tuple[int, int], int]
+    chi: MappingProxyType
     rational: frozenset[tuple[int, int]]
     irrational: frozenset[tuple[int, int]]
 
 
+@lru_cache(maxsize=1)
 def link_facts() -> LinkFactStore:
-    """Fact store for the link filter, built from the shipped tables."""
+    """The link filter's fact store from the shipped tables: built once per process, read-only."""
     cat = load()
     key = {e.id: (e.index, e.antik_cube) for e in cat.entries if e.rho == 1}
-    chi = {key[e.id]: e.chi_top for e in cat.entries if e.id in key}
+    chi = MappingProxyType({key[e.id]: e.chi_top for e in cat.entries if e.id in key})
     holds = {(f.predicate, key[f.subject]) for f in cat.facts if f.value and f.subject in key}
     rational = frozenset(k for predicate, k in holds if predicate == "Rational")
     irrational = frozenset(k for predicate, k in holds if predicate == "Irrational")

@@ -157,12 +157,14 @@ def _ray_candidates(
     (m_cap >= 1), the type (q2, lin), then for a point blowdown iota in 1..4
     and an integral a_m and (-K_Y)^3 > 0, else the length b = mu, then
     m_cap >= 1 again, an integral Ebar^3 and the defect.  Effectivity needs
-    a and b alone: once h0 >= 1, _m_cap is 0 for every a > b >= 1.  The test
-    a >= 1 is the one place a is bounded below: _ray_trials may yield a <= 0."""
+    a and b alone: once h0 >= 1, _m_cap is 0 for every a > b >= 1.  Every trial
+    has b >= 1 (the box's b = 1..3 and 0 < b_f; _ray_trials' num >= den > 0), so
+    a > b drops only a >= 2, and it is tested before a >= 1, the commoner
+    first.  That is the one place a is bounded below: _ray_trials may yield a <= 0."""
     k3, ke, kee, e3 = vals
     effective = h0 >= 1  # the cell shows |-K_tilde - E| non-empty
     for a, b in trials:
-        if a < 1 or (effective and a > b):
+        if (effective and a > b) or a < 1:
             continue
         q2 = k3 * a * a - 2 * a * b * ke + b * b * kee  # Fbar^2.(-K)
         if q2 not in RAY_TYPE:
@@ -254,7 +256,8 @@ def _b1_candidates(
     read a_m alone, as one interval lo <= a_m <= hi per index: a_f = iota*a_m - 1
     >= 1 is a_m >= lo = ceil(2/iota), and as b_f = iota makes m_cap = top // a_f
     with top = _m_cap(h0, 1, iota, True), effectivity a_f <= top is
-    a_m <= hi = floor((top + 1)/iota), unbounded where top is None."""
+    a_m <= hi = floor((top + 1)/iota), unbounded where top is None.  As a_m > hi
+    >= 1 gives a_m >= 2 >= lo, effectivity, the commoner, can go first."""
     k3, ke, kee, e3 = vals
     for iota, a_ms in trials.items():
         b_f = iota
@@ -262,7 +265,7 @@ def _b1_candidates(
         lo = -(-2 // iota)
         hi = math.inf if top is None else (top + 1) // iota
         for a_m in a_ms:
-            if a_m < lo or a_m > hi:
+            if a_m > hi or a_m < lo:
                 continue
             a_f = iota * a_m - 1
             iota_d = k3 * a_m * a_m - 2 * a_m * ke + kee  # Mbar^2.(-K) = iota*d(Y)
@@ -307,8 +310,8 @@ def _b1_trials(vals: tuple[int, ...], iota: int) -> range:
     positive (negative defect) beyond the Cauchy bound 1 + max|c_i|/(iota*k3)
     on its real roots, whether or not iota divides Mbar^2.(-K)."""
     k3, ke, kee, e3 = vals
-    coeffs = (-(3 * iota * ke + k3), 3 * iota * kee + 2 * ke, -(kee + iota * e3))
-    return range(1, 1 + max(abs(c) for c in coeffs) // (iota * k3) + 1)
+    c_max = max(abs(3 * iota * ke + k3), abs(3 * iota * kee + 2 * ke), abs(kee + iota * e3))
+    return range(1, 1 + c_max // (iota * k3) + 1)
 
 
 def _point_blowdown_box(vals: tuple[int, ...], bound: int) -> Iterable[tuple[int, int]]:
@@ -319,17 +322,18 @@ def _point_blowdown_box(vals: tuple[int, ...], bound: int) -> Iterable[tuple[int
     roots multiply to (k3*a^2 + 2)/kee < 0, and the positive one is at most
     N = bound exactly when k3*a^2 - 2*ke*N*a + kee*N^2 + 2 <= 0, that is when
     a <= (ke*N + sqrt(N^2*den - 2*k3))/k3: the scan ends at its floor, or
-    tests no a_f when the radicand is negative."""
+    tests no a_f when the radicand is negative.  As den > 0 there, no
+    discriminant is negative; for k3 <= 0 and den < 0 the scan ends at the last
+    a with a non-negative one, isqrt(2*kee // den)."""
     k3, ke, kee, _ = vals
     den = ke * ke - k3 * kee
-    top = bound
     if k3 > 0:
         rad = bound * bound * den - 2 * k3
         top = min(bound, (ke * bound + math.isqrt(rad)) // k3) if rad >= 0 else 0
+    else:
+        top = bound if den >= 0 else min(bound, math.isqrt(2 * kee // den))
     for a_f in range(1, top + 1):
         disc = a_f * a_f * den - 2 * kee
-        if disc < 0:
-            continue
         root = math.isqrt(disc)
         if root * root != disc:
             continue

@@ -311,6 +311,15 @@ def test_link_facts_shape():
     assert (1, 12) in facts.rational  # g = 7
 
 
+def test_link_facts_is_built_once_and_read_only():
+    # every filter_links call shares one store, so none of it may change
+    facts = catalog.link_facts()
+    assert catalog.link_facts() is facts
+    with pytest.raises(TypeError):
+        facts.chi[(1, 22)] = 0
+    assert type(facts.rational) is frozenset and type(facts.irrational) is frozenset
+
+
 def test_every_table_of_the_data_file_is_a_catalog_field():
     # no table ships that load() ignores, and every field has its table
     text = resources.files("fano3.data").joinpath("classification.json").read_text()

@@ -350,6 +350,8 @@ def test_repeated_runs_are_byte_identical():
          "Exceeds the limit (4300 digits) for integer string conversion"),
         # degrees on weights that are not well-formed do not carry over to the normalized ones
         (["wps", "--weights", "2,2,2,2", "--degrees", "2"], "normalize the weight system first"),
+        # (-K)^3 = 0 is refused for a point blowup as for a curve blowup
+        (["blowup", "--antik-cube", "0", "--point"], "antik_cube must be positive"),
     ],
 )
 def test_invalid_input_exits_two_with_message(argv, message, capsys):

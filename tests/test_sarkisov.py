@@ -119,6 +119,8 @@ def test_statuses_do_not_depend_on_catalog_names(monkeypatch):
         facts=tuple(f._replace(subject=f"renamed-{f.subject}") for f in cat.facts),
     )
     monkeypatch.setattr(catalog, "load", lambda: renamed)
+    # the store is built once per process: rebuild it from the renamed catalog
+    monkeypatch.setattr(catalog, "link_facts", catalog.link_facts.__wrapped__)
     assert statuses() == before
 
 
@@ -498,6 +500,24 @@ def test_solved_trials_cover_every_box_point():
                         k_hits[k] += 1
     assert fiber_hits == {("D", 1): 39, ("D", 2): 21, ("D", 3): 10, ("C", 1): 57, ("C", 2): 15}
     assert k_hits == {4: 14, 2: 7, 1: 3}
+
+
+def test_every_ray_trial_has_b_at_least_one():
+    # _ray_candidates tests effectivity (a > b) before a >= 1, which drops
+    # disjoint trials only while b >= 1: on the synthetic grid of
+    # test_solved_trials_cover_every_box_point and on real cells in the box
+    solved = 0
+    for k3 in range(1, 41):
+        for ke in (*range(-6, 0), *range(1, 7)):
+            for kee in range(-6, 0):
+                trials = _ray_trials((k3, ke, kee, 0))
+                assert all(b >= 1 for _, b in trials), (k3, ke, kee)
+                solved += len(trials)
+    assert solved > 0
+    for center in ("line", "conic", "point"):
+        for g in range(2, 41):
+            trials = list(sarkisov._ray_box(midpoint_form(center, g).values, 50))
+            assert len(trials) >= 150 and min(b for _, b in trials) >= 1, (center, g)
 
 
 def test_b1_trials_give_every_box_candidate():

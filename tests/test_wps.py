@@ -117,6 +117,15 @@ FOUR_MODELS = [
 ]
 
 
+def test_a_linear_equation_is_a_degree():
+    # P^5 cut by a hyperplane and a quadric is the quadric threefold Q; a
+    # degree-0 equation is no equation
+    inv = ci_fano_invariants(CompleteIntersectionSpec(WeightSystem((1,) * 6), (1, 2)))
+    assert (inv.dim, inv.index, inv.antik_power) == (3, 3, 54)
+    with pytest.raises(ValueError, match="degrees must be positive"):
+        CompleteIntersectionSpec(WeightSystem((1,) * 6), (0, 2))
+
+
 @pytest.mark.parametrize("weights,degrees,iota,antik", FOUR_MODELS)
 def test_weighted_models(weights, degrees, iota, antik):
     inv = ci_fano_invariants(CompleteIntersectionSpec(WeightSystem(weights), degrees))
