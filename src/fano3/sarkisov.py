@@ -315,32 +315,28 @@ def _b1_trials(vals: tuple[int, ...], iota: int) -> range:
 
 
 def _point_blowdown_box(vals: tuple[int, ...], bound: int) -> Iterable[tuple[int, int]]:
-    """Every (a_f, b_f) in 1..bound on Fbar^2.(-K) = -2, b_f ascending per a_f:
-    kee*b^2 - 2a*ke*b + k3*a^2 + 2 = 0 solved for b inline.  The reduced
-    discriminant is a^2*den - 2*kee (den as in _ray_trials), and kee < 0 (see
-    _ray_trials) makes b = (a*ke + root)/kee the smaller root.  For k3 > 0 the
-    roots multiply to (k3*a^2 + 2)/kee < 0, and the positive one is at most
-    N = bound exactly when k3*a^2 - 2*ke*N*a + kee*N^2 + 2 <= 0, that is when
-    a <= (ke*N + sqrt(N^2*den - 2*k3))/k3: the scan ends at its floor, or
-    tests no a_f when the radicand is negative.  As den > 0 there, no
-    discriminant is negative; for k3 <= 0 and den < 0 the scan ends at the last
-    a with a non-negative one, isqrt(2*kee // den)."""
+    """Every (a_f, b_f) in 1..bound on Fbar^2.(-K) = -2, on a cell with
+    k3 > 0 > kee (the only cells _enumerate_cell scans): kee*b^2 - 2a*ke*b +
+    k3*a^2 + 2 = 0 solved for b inline.  The roots multiply to
+    (k3*a^2 + 2)/kee < 0, and the reduced discriminant a^2*den - 2*kee (den as
+    in _ray_trials) exceeds (a*ke)^2, so b = (a*ke - root)/kee is the one
+    positive root.  It is at most N = bound exactly when
+    k3*a^2 - 2*ke*N*a + kee*N^2 + 2 <= 0, that is when a lies between
+    (ke*N -+ sqrt(N^2*den - 2*k3))/k3: the scan ends at the floor of the upper
+    end, or tests no a_f when the radicand is negative.  The lower end is below
+    1 unless N^2*kee > -2, so b_f <= N is still tested."""
     k3, ke, kee, _ = vals
     den = ke * ke - k3 * kee
-    if k3 > 0:
-        rad = bound * bound * den - 2 * k3
-        top = min(bound, (ke * bound + math.isqrt(rad)) // k3) if rad >= 0 else 0
-    else:
-        top = bound if den >= 0 else min(bound, math.isqrt(2 * kee // den))
+    rad = bound * bound * den - 2 * k3
+    top = min(bound, (ke * bound + math.isqrt(rad)) // k3) if rad >= 0 else 0
     for a_f in range(1, top + 1):
         disc = a_f * a_f * den - 2 * kee
         root = math.isqrt(disc)
         if root * root != disc:
             continue
-        for num in (a_f * ke + root, a_f * ke - root)[: 2 if root else 1]:
-            b_f, rem = divmod(num, kee)
-            if rem == 0 and 0 < b_f <= bound:
-                yield a_f, b_f
+        b_f, rem = divmod(a_f * ke - root, kee)
+        if rem == 0 and b_f <= bound:
+            yield a_f, b_f
 
 
 def _enumerate_cell(center: Center, g: int, bound: int) -> list[LinkCandidate]:
@@ -477,9 +473,7 @@ def rho2_primitive_enumerate(bound: int = 8) -> list[Rho2Solution]:
     (d = 0).  Sorted by antik_cube, which no two solutions share."""
     bound = as_int(bound, "bound")
     sols: list[Rho2Solution] = []
-    for d in range(0, 12):
-        if d in (1, 2):
-            continue  # a non-empty discriminant curve has degree >= 3
+    for d in (0, *range(3, 12)):  # a non-empty discriminant curve has degree >= 3
         # (a, b) = (i/s, j/s): the grid has step 1/2 on the C2 side, else step 1
         s = 2 if d == 0 else 1
         for i, j, q2 in _rho2_trials(d, s):

@@ -364,6 +364,26 @@ def test_invalid_input_exits_two_with_message(argv, message, capsys):
 @pytest.mark.parametrize(
     "argv,expected",
     [
+        # h^0(O(1)) on P^100, at the --dim cap
+        (["rr", "--dim", "100", "--index", "101", "--degree", "1"], "101\n"),
+        # chi(-tK) = t(t+1)(2t+1)/12 * (-K)^3 + 2t + 1 with (-K)^3 = 4, at t = +-10^6
+        (["rr", "--dim", "3", "--index", "1", "--degree", "4", "--t", "1000000"], "666667666669000001\n"),
+        (["rr", "--dim", "3", "--index", "1", "--degree", "4", "--t", "-1000000"], "-666665666668999999\n"),
+    ],
+    ids=["dim-cap", "t-cap", "t-floor"],
+)
+def test_rr_accepts_its_caps(argv, expected):
+    assert run(argv) == (0, expected)
+
+
+def test_link_one_genus_range_is_that_genus():
+    head = ["link", "--center", "line"]
+    assert run([*head, "--genus-range", "9..9", "--json"]) == run([*head, "--genus", "9", "--json"])
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
         (["wps", "--weights", ",".join(["2"] * 30000), "--json"], {"well_formed": False, "normalized": [1] * 30000}),
         (["scroll", "--weights", ",".join(["1"] * 30000), "--intersect", ",".join(["M-F"] * 30000), "--json"],
          {"value": {"num": "0", "den": "1"}}),
